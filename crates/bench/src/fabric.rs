@@ -62,8 +62,8 @@ use mbu_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Every campaign key of a sweep over `components`, in the same order the
@@ -645,13 +645,9 @@ pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> 
     }
 }
 
-/// Shared state between a worker's control loop and its heartbeat thread.
-struct Pulse {
-    /// The in-flight unit: (unit id, runs-started counter).
-    current: Mutex<Option<(u64, Arc<AtomicUsize>)>>,
-    /// Set when the control loop exits.
-    stop: AtomicBool,
-}
+/// The in-flight unit, shared between a worker's control loop and its
+/// heartbeat thread: (unit id, runs-started counter).
+type Pulse = Mutex<Option<(u64, Arc<AtomicUsize>)>>;
 
 type ArtifactKey = (Workload, bool, Option<u64>, Option<u64>);
 type ArtifactCache = BTreeMap<ArtifactKey, Result<Arc<GoldenArtifacts>, CampaignError>>;
@@ -895,25 +891,21 @@ where
             }
         }
     }
-    let pulse = Arc::new(Pulse {
-        current: Mutex::new(None),
-        stop: AtomicBool::new(false),
-    });
+    let pulse: Arc<Pulse> = Arc::new(Mutex::new(None));
+    // The heartbeat thread waits on this channel between beats; dropping
+    // the sender when the control loop exits wakes it at once, so the
+    // worker never sleeps out a heartbeat interval on its way down.
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let hb_handle = {
         let pulse = Arc::clone(&pulse);
         let out = Arc::clone(&out);
         let chaos = Arc::clone(&chaos);
         std::thread::spawn(move || {
-            while !pulse.stop.load(Ordering::SeqCst) {
-                std::thread::sleep(heartbeat);
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(heartbeat) {
                 if chaos.heartbeat_muted() {
                     continue;
                 }
-                let snapshot = pulse
-                    .current
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone();
+                let snapshot = pulse.lock().unwrap_or_else(|e| e.into_inner()).clone();
                 if let Some((unit_id, progress)) = snapshot {
                     let msg = ToSupervisor::Heartbeat {
                         unit_id,
@@ -954,7 +946,7 @@ where
                 }
                 let e = spec_experiments(&exp, unit.workload);
                 progress.store(0, Ordering::Relaxed);
-                *pulse.current.lock().unwrap_or_else(|e| e.into_inner()) =
+                *pulse.lock().unwrap_or_else(|e| e.into_inner()) =
                     Some((unit_id, Arc::clone(&progress)));
                 let outcome = run_unit(
                     &e,
@@ -965,7 +957,7 @@ where
                     &chaos,
                     &progress,
                 );
-                *pulse.current.lock().unwrap_or_else(|e| e.into_inner()) = None;
+                *pulse.lock().unwrap_or_else(|e| e.into_inner()) = None;
                 match outcome {
                     Ok((row, anomalies)) => {
                         // Durability before acknowledgement: the row is in
@@ -1005,7 +997,7 @@ where
             }
         }
     };
-    pulse.stop.store(true, Ordering::SeqCst);
+    drop(stop_tx);
     let _ = hb_handle.join();
     outcome
 }
@@ -1245,5 +1237,39 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert!(report.gaps.is_empty(), "unplannable is not a gap");
         assert_eq!(report.stale_dropped, 1);
+    }
+
+    #[test]
+    fn worker_exits_on_shutdown_without_waiting_out_its_heartbeat() {
+        let (control, mut supervisor) = std::io::pipe().unwrap();
+        let shard = std::env::temp_dir().join(format!(
+            "mbu-worker-shutdown-{}/never-written.csv",
+            std::process::id()
+        ));
+        let worker = {
+            let shard = shard.clone();
+            std::thread::spawn(move || {
+                let input = std::io::BufReader::new(control);
+                run_worker(
+                    input,
+                    std::io::sink(),
+                    &shard,
+                    Duration::from_secs(30),
+                    None,
+                )
+            })
+        };
+        // Gives the heartbeat thread time to start its first wait; the
+        // bound below must hold however the threads interleave.
+        std::thread::sleep(Duration::from_millis(100));
+        write_frame(&mut supervisor, &ToWorker::Shutdown.to_json()).unwrap();
+        let sent = std::time::Instant::now();
+        worker.join().unwrap().unwrap();
+        let took = sent.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "worker took {took:?} to stop"
+        );
+        assert!(!shard.exists(), "no unit ran, so nothing was persisted");
     }
 }

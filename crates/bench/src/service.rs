@@ -29,7 +29,7 @@ use mbu_serve::{
 use mbu_workloads::Workload;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Service-level knobs, environment-driven like every other `MBU_*`
@@ -449,20 +449,22 @@ impl JobBackend for SweepBackend {
         // The supervisor only understands one stop signal; drain and
         // cancel both pull it. A watcher thread folds the two job-level
         // conditions into the fabric's flag, and the outcome below
-        // distinguishes them again.
+        // distinguishes them again. It re-checks them every 25 ms; the
+        // sweep's end drops `finished` and wakes it at once.
         let stop = Arc::new(AtomicBool::new(false));
-        let finished = Arc::new(AtomicBool::new(false));
+        let (finished, sweep_over) = mpsc::channel::<()>();
         let watcher = {
             let stop = Arc::clone(&stop);
-            let finished = Arc::clone(&finished);
             let ctx = ctx.clone();
-            std::thread::spawn(move || {
-                while !finished.load(Ordering::SeqCst) {
-                    if ctx.cancelled() || ctx.draining() {
-                        stop.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
+            std::thread::spawn(move || loop {
+                if ctx.cancelled() || ctx.draining() {
+                    stop.store(true, Ordering::SeqCst);
+                    break;
+                }
+                if let Err(mpsc::RecvTimeoutError::Disconnected) =
+                    sweep_over.recv_timeout(Duration::from_millis(25))
+                {
+                    break;
                 }
             })
         };
@@ -517,7 +519,7 @@ impl JobBackend for SweepBackend {
                 opts,
             )
         };
-        finished.store(true, Ordering::SeqCst);
+        drop(finished);
         let _ = watcher.join();
         match result {
             Ok((store, report)) => {

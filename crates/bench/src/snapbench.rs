@@ -296,9 +296,8 @@ impl Experiments {
     /// bit-identical.
     ///
     /// The loop replicates [`Experiments::run_sweep`]'s execution path
-    /// inline rather than calling it: the sweep's default per-run wall
-    /// budget arms a watchdog whose shutdown poll would add constant
-    /// latency to both sides and dilute the measured speedup.
+    /// inline, so each side's wall-clock covers exactly its campaigns and
+    /// golden runs.
     ///
     /// Campaigns are capped at [`SWEEPBENCH_RUNS`] injections: the cache
     /// removes a *fixed* per-campaign cost (golden + snapshot-recording

@@ -10,6 +10,9 @@
 //! exact strings (`ResultStore::to_csv` uses shortest-roundtrip float
 //! formatting, so serialization is canonical).
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::chaos::{flip_file_bit, truncate_file};
 use mbu_bench::store::quarantine_path;
 use mbu_bench::{
@@ -19,7 +22,6 @@ use mbu_bench::{
 use mbu_cpu::HwComponent;
 use mbu_gefin::integrity::GoldenFingerprint;
 use mbu_workloads::Workload;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const COMPONENT: HwComponent = HwComponent::RegFile;
@@ -39,24 +41,17 @@ fn tiny() -> Experiments {
     }
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-chaos-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The unfaulted reference: (in-memory store CSV, checkpoint file text).
 /// Campaigns are deterministic, so every healthy or healed sweep must
 /// reproduce exactly these bytes.
 fn reference(e: &Experiments) -> (String, String) {
-    let dir = tmpdir("reference");
+    let dir = TempDir::new("reference");
     let path = dir.join("sweep.csv");
     let mut store = ResultStore::new();
     let report = e.run_sweep(&[COMPONENT], &mut store, Some(&path)).unwrap();
     assert!(report.is_clean());
     assert_eq!(report.executed, 3);
     let file = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     (store.to_csv(), file)
 }
 
@@ -64,7 +59,7 @@ fn reference(e: &Experiments) -> (String, String) {
 fn transient_append_failures_retry_to_bit_identical_results() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("transient");
+    let dir = TempDir::new("transient");
     let path = dir.join("sweep.csv");
     // Appends 0 and 2 fail; their retries (new call indices) succeed.
     let chaos = ChaosIo::new(&RealIo, ChaosPlan::failing([0, 2]));
@@ -90,14 +85,13 @@ fn transient_append_failures_retry_to_bit_identical_results() {
         ref_file,
         "checkpoint file is bit-identical"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn slow_appends_do_not_corrupt_results() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("stall");
+    let dir = TempDir::new("stall");
     let path = dir.join("sweep.csv");
     let chaos = ChaosIo::new(
         &RealIo,
@@ -117,14 +111,13 @@ fn slow_appends_do_not_corrupt_results() {
     assert!(report.is_clean());
     assert_eq!(store.to_csv(), ref_csv);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), ref_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn persistent_append_failure_is_typed_and_resume_reproduces_exactly() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("dead-disk");
+    let dir = TempDir::new("dead-disk");
     let path = dir.join("sweep.csv");
     // The disk dies after the first campaign is checkpointed.
     let chaos = ChaosIo::new(
@@ -165,14 +158,13 @@ fn persistent_append_failure_is_typed_and_resume_reproduces_exactly() {
         ref_file,
         "resume reproduces the checkpoint file"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_append_is_quarantined_on_recover_and_resume_is_exact() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("torn");
+    let dir = TempDir::new("torn");
     let path = dir.join("sweep.csv");
     // The second campaign's row tears 12 bytes in — a crash mid-write.
     let chaos = ChaosIo::new(
@@ -213,14 +205,13 @@ fn torn_append_is_quarantined_on_recover_and_resume_is_exact() {
     assert_eq!(report.skipped_existing, 1);
     assert_eq!(store.to_csv(), ref_csv);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), ref_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_checkpoint_resumes_to_identical_results() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("truncate");
+    let dir = TempDir::new("truncate");
     let path = dir.join("sweep.csv");
     let mut store = ResultStore::new();
     e.run_sweep(&[COMPONENT], &mut store, Some(&path)).unwrap();
@@ -236,14 +227,13 @@ fn truncated_checkpoint_resumes_to_identical_results() {
     assert_eq!(report.skipped_existing, 2);
     assert_eq!(store.to_csv(), ref_csv);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), ref_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn flipped_bit_is_caught_by_crc_and_rerun_to_identical_results() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("bitflip");
+    let dir = TempDir::new("bitflip");
     let path = dir.join("sweep.csv");
     let mut store = ResultStore::new();
     e.run_sweep(&[COMPONENT], &mut store, Some(&path)).unwrap();
@@ -272,7 +262,6 @@ fn flipped_bit_is_caught_by_crc_and_rerun_to_identical_results() {
     assert_eq!(report.executed, 1);
     assert_eq!(store.to_csv(), ref_csv, "values are never silently wrong");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), ref_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -322,7 +311,7 @@ fn forged_fingerprint_forces_rerun_but_legacy_rows_are_kept() {
 fn expired_deadline_stops_cleanly_and_resume_completes() {
     let e = tiny();
     let (ref_csv, ref_file) = reference(&e);
-    let dir = tmpdir("deadline");
+    let dir = TempDir::new("deadline");
     let path = dir.join("sweep.csv");
     let control = SweepControl {
         deadline: Some(Instant::now()),
@@ -342,7 +331,6 @@ fn expired_deadline_stops_cleanly_and_resume_completes() {
     assert_eq!(report.executed, 3);
     assert_eq!(store.to_csv(), ref_csv);
     assert_eq!(std::fs::read_to_string(&path).unwrap(), ref_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -356,7 +344,7 @@ fn adaptive_sweep_reports_margins_and_resumes_deterministically() {
         }),
         ..tiny()
     };
-    let dir = tmpdir("adaptive");
+    let dir = TempDir::new("adaptive");
     let path = dir.join("sweep.csv");
     let mut store = ResultStore::new();
     let first = e.run_sweep(&[COMPONENT], &mut store, Some(&path)).unwrap();
@@ -374,5 +362,4 @@ fn adaptive_sweep_reports_margins_and_resumes_deterministically() {
     assert_eq!(second.executed, 0);
     assert_eq!(second.margins, first.margins, "margins roundtrip the CSV");
     assert_eq!(reloaded.to_csv(), store.to_csv());
-    let _ = std::fs::remove_dir_all(&dir);
 }

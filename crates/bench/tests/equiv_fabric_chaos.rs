@@ -21,18 +21,14 @@
 //! diffing a 3-worker chaos-kill sweep against the single-process
 //! reference it already computes.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::TempDir;
+use std::path::Path;
 use std::process::Command;
 
 const WORKLOAD: &str = "stringsearch";
 const COMPONENT: &str = "dtlb";
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-equiv-fab-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Runs `repro exhaustive` (distributed when `workers > 0`) and returns
 /// (success, stderr, merged exhaustive.csv bytes if written).
@@ -74,12 +70,10 @@ fn run_exhaustive(
 fn reference() -> &'static str {
     static REFERENCE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let dir = tmpdir("reference");
+        let dir = TempDir::new("reference");
         let (ok, stderr, csv) = run_exhaustive(&dir, 0, None, &[]);
         assert!(ok, "single-process reference failed:\n{stderr}");
-        let text = csv.expect("reference exhaustive.csv");
-        let _ = std::fs::remove_dir_all(&dir);
-        text
+        csv.expect("reference exhaustive.csv")
     })
 }
 
@@ -108,7 +102,7 @@ fn chaos_workers_mid_class_range_merge_bit_identical() {
         ("garbage", "2:garbage-frames", "protocol-garbage", &[]),
     ];
     for (tag, spec, needle, extra_env) in cases {
-        let dir = tmpdir(tag);
+        let dir = TempDir::new(tag);
         let (ok, stderr, csv) = run_exhaustive(&dir, 3, Some(spec), extra_env);
         assert!(ok, "{tag}: distributed exhaustive sweep failed:\n{stderr}");
         assert!(
@@ -120,6 +114,5 @@ fn chaos_workers_mid_class_range_merge_bit_identical() {
             Some(want),
             "{tag}: merged exhaustive store differs from single-process"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,22 +11,18 @@
 //! supervisor arms the spec on that worker's first spawn only, so
 //! replacements run clean and every fault is recoverable.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::Experiments;
 use mbu_cpu::HwComponent;
 use mbu_workloads::Workload;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 const RUNS: usize = 6;
 const WORKLOAD: Workload = Workload::Qsort;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-fabric-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// The single-process reference: the same campaigns run in-process, saved
 /// through the same store, read back as bytes. Computed once; campaigns
@@ -42,7 +38,7 @@ fn compute_reference() -> String {
         workloads: vec![WORKLOAD],
         ..Experiments::default()
     };
-    let dir = tmpdir("reference");
+    let dir = TempDir::new("reference");
     let path = dir.join("measured.csv");
     let mut store = mbu_bench::ResultStore::new();
     for c in HwComponent::ALL {
@@ -54,9 +50,7 @@ fn compute_reference() -> String {
         );
     }
     store.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    text
+    std::fs::read_to_string(&path).unwrap()
 }
 
 /// Runs `repro sweep` with 3 workers and the given chaos target plus any
@@ -98,7 +92,7 @@ fn run_sweep(
 #[test]
 fn killed_worker_retries_and_merge_is_bit_identical() {
     let want = reference();
-    let dir = tmpdir("kill");
+    let dir = TempDir::new("kill");
     let (ok, stderr, csv) = run_sweep(&dir, Some("1:kill-mid-unit:2"), &[]);
     assert!(ok, "sweep failed:\n{stderr}");
     assert!(
@@ -110,7 +104,6 @@ fn killed_worker_retries_and_merge_is_bit_identical() {
         Some(want),
         "merged store differs from the single-process sweep"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A hung worker (alive, heartbeats muted, unit frozen) is detected by
@@ -119,7 +112,7 @@ fn killed_worker_retries_and_merge_is_bit_identical() {
 #[test]
 fn hung_worker_is_reclaimed_by_stall_detection() {
     let want = reference();
-    let dir = tmpdir("hang");
+    let dir = TempDir::new("hang");
     let (ok, stderr, csv) = run_sweep(&dir, Some("0:hang-mid-unit:2"), &[("MBU_STALL_SECS", "2")]);
     assert!(ok, "sweep failed:\n{stderr}");
     assert!(
@@ -127,7 +120,6 @@ fn hung_worker_is_reclaimed_by_stall_detection() {
         "the hang must surface as a typed worker-stall anomaly:\n{stderr}"
     );
     assert_eq!(csv.as_deref(), Some(want));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A worker emitting garbage instead of protocol frames is dropped with a
@@ -136,7 +128,7 @@ fn hung_worker_is_reclaimed_by_stall_detection() {
 #[test]
 fn garbage_frames_drop_the_worker_not_the_results() {
     let want = reference();
-    let dir = tmpdir("garbage");
+    let dir = TempDir::new("garbage");
     let (ok, stderr, csv) = run_sweep(&dir, Some("2:garbage-frames"), &[]);
     assert!(ok, "sweep failed:\n{stderr}");
     assert!(
@@ -144,7 +136,6 @@ fn garbage_frames_drop_the_worker_not_the_results() {
         "garbage must surface as a typed protocol-garbage anomaly:\n{stderr}"
     );
     assert_eq!(csv.as_deref(), Some(want));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Supervisor crash-consistency: SIGKILL the supervisor mid-sweep, then
@@ -155,7 +146,7 @@ fn garbage_frames_drop_the_worker_not_the_results() {
 #[test]
 fn supervisor_crash_resumes_without_losing_completed_runs() {
     let want = reference();
-    let dir = tmpdir("resume");
+    let dir = TempDir::new("resume");
     let out = dir.join("measured.csv");
     let shards = dir.join("shards");
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -208,7 +199,6 @@ fn supervisor_crash_resumes_without_losing_completed_runs() {
         Some(want),
         "resumed sweep differs from the single-process sweep"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Invalid fabric and sweep env vars are rejected with a typed error

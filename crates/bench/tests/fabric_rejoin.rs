@@ -6,6 +6,9 @@
 //! unit from the replayed rows instead of re-running it, and the merged
 //! CSV stays byte-identical to a single-process sweep.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::{Experiments, FabricConfig, ResultStore, Supervisor, WorkerPool};
 use mbu_cpu::HwComponent;
 use mbu_workloads::Workload;
@@ -18,13 +21,6 @@ const RUNS: usize = 6;
 const WORKLOAD: Workload = Workload::Qsort;
 const COMPONENTS: [HwComponent; 2] = [HwComponent::L1D, HwComponent::RegFile];
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-rejoin-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn experiments() -> Experiments {
     Experiments {
         runs: RUNS,
@@ -36,7 +32,7 @@ fn experiments() -> Experiments {
 /// Single-process reference bytes for the same two components.
 fn reference() -> String {
     let e = experiments();
-    let dir = tmpdir("reference");
+    let dir = TempDir::new("reference");
     let path = dir.join("measured.csv");
     let mut store = ResultStore::new();
     for &c in &COMPONENTS {
@@ -44,9 +40,7 @@ fn reference() -> String {
         assert!(report.failed.is_empty(), "reference: {:?}", report.failed);
     }
     store.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    text
+    std::fs::read_to_string(&path).unwrap()
 }
 
 /// Spawns `repro worker --connect` with a stable worker id; `fault` arms
@@ -77,7 +71,7 @@ fn spawn_worker(addr: &str, shard: &PathBuf, id: &str, fault: Option<&str>) -> C
 #[test]
 fn reconnecting_worker_rejoins_and_replays_persisted_unit() {
     let want = reference();
-    let dir = tmpdir("rejoin");
+    let dir = TempDir::new("rejoin");
     let shard_dir = dir.join("shards");
     std::fs::create_dir_all(&shard_dir).unwrap();
     let out_csv = dir.join("measured.csv");
@@ -147,5 +141,4 @@ fn reconnecting_worker_rejoins_and_replays_persisted_unit() {
         got, want,
         "merged store differs from the single-process sweep"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

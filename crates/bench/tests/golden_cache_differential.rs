@@ -5,6 +5,9 @@
 //! where every campaign re-runs its own golden execution. The cache may
 //! only change wall-clock, never results, under any thread count.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::{Experiments, ResultStore};
 use mbu_cpu::{CoreConfig, HwComponent};
 use mbu_gefin::campaign::{AnomalyKind, Campaign, CampaignConfig};
@@ -32,8 +35,7 @@ fn sweeper(use_golden_cache: bool, threads: usize) -> Experiments {
 /// in the sweep-level bypass anomaly.
 #[test]
 fn cached_sweep_is_bit_identical_to_bypass_sweep() {
-    let dir = std::env::temp_dir().join(format!("mbu-gcache-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("gcache");
     let on_path = dir.join("cache_on.csv");
     let off_path = dir.join("cache_off.csv");
 
@@ -77,7 +79,6 @@ fn cached_sweep_is_bit_identical_to_bypass_sweep() {
         off_report.anomalies.entries()[0].kind,
         AnomalyKind::GoldenCacheBypass
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The cached sweep is deterministic under any worker-thread count: one

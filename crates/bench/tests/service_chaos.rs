@@ -4,24 +4,20 @@
 //! corrupted job state. Driven both in-process ([`HttpFault::fire`]) and
 //! through the `repro chaos-http` CLI verb the CI scenario uses.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::chaos::{HttpFault, HttpFaultOutcome};
 use mbu_bench::{Experiments, Json, ResultStore};
 use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const WORKLOAD: Workload = Workload::Qsort;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-chaos-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 struct Daemon {
     child: Child,
@@ -82,7 +78,7 @@ fn healthz_ok(addr: &str) {
 /// faults leave no wedge and no corrupted job state.
 #[test]
 fn every_http_fault_yields_a_typed_reply_and_no_wedge() {
-    let dir = tmpdir("faults");
+    let dir = TempDir::new("faults");
     let daemon = Daemon::boot(
         &dir,
         &[
@@ -153,14 +149,13 @@ fn every_http_fault_yields_a_typed_reply_and_no_wedge() {
         "post-chaos store differs from the single-process sweep"
     );
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The connection cap load-sheds with a 503 while a slot is held, and the
 /// slot is reclaimed once the holder leaves (or times out) — no leak.
 #[test]
 fn connection_cap_sheds_and_recovers_end_to_end() {
-    let dir = tmpdir("cap");
+    let dir = TempDir::new("cap");
     let daemon = Daemon::boot(
         &dir,
         &[("MBU_HTTP_CONN_MAX", "1"), ("MBU_HTTP_TIMEOUT_SECS", "2")],
@@ -187,14 +182,13 @@ fn connection_cap_sheds_and_recovers_end_to_end() {
         std::thread::sleep(Duration::from_millis(50));
     }
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `repro chaos-http` CLI verb — the CI scenario's driver — fires the
 /// whole fault family at a live daemon and exits 0 with its verdict.
 #[test]
 fn chaos_http_cli_verb_passes_against_live_daemon() {
-    let dir = tmpdir("cli");
+    let dir = TempDir::new("cli");
     let daemon = Daemon::boot(&dir, &[("MBU_HTTP_TIMEOUT_SECS", "2")]);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("chaos-http")
@@ -211,5 +205,4 @@ fn chaos_http_cli_verb_passes_against_live_daemon() {
         "missing verdict line:\n{stderr}"
     );
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,24 +8,20 @@
 //! a scripted worker death, and a slow-loris client all at once, then
 //! SIGTERMs the daemon under that load.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::{Experiments, Json, ResultStore};
 use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const WORKLOAD: Workload = Workload::Qsort;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-drain-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Single-process reference bytes for `components` at `runs` injections.
 fn reference_for(components: &[HwComponent], runs: usize) -> String {
@@ -34,7 +30,7 @@ fn reference_for(components: &[HwComponent], runs: usize) -> String {
         workloads: vec![WORKLOAD],
         ..Experiments::default()
     };
-    let dir = tmpdir(&format!("ref-{}-{runs}", components.len()));
+    let dir = TempDir::new(&format!("ref-{}-{runs}", components.len()));
     let path = dir.join("measured.csv");
     let mut store = ResultStore::new();
     for &c in components {
@@ -42,9 +38,7 @@ fn reference_for(components: &[HwComponent], runs: usize) -> String {
         assert!(report.failed.is_empty(), "reference: {:?}", report.failed);
     }
     store.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    text
+    std::fs::read_to_string(&path).unwrap()
 }
 
 /// A running `repro daemon` child with its stderr captured for assertions
@@ -219,7 +213,7 @@ fn wait_draining(addr: &str) {
 #[test]
 fn sigterm_drains_parks_and_restart_finishes_byte_identical() {
     const COMPONENTS: [HwComponent; 2] = [HwComponent::L1D, HwComponent::RegFile];
-    let dir = tmpdir("drain");
+    let dir = TempDir::new("drain");
     let env = [
         ("MBU_HTTP_MAX_JOBS", "1"),
         ("MBU_WORKERS", "1"),
@@ -275,7 +269,6 @@ fn sigterm_drains_parks_and_restart_finishes_byte_identical() {
         "drained-and-resumed store differs from the single-process sweep"
     );
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance combo: a breached disk watermark (faked free-space
@@ -285,7 +278,7 @@ fn sigterm_drains_parks_and_restart_finishes_byte_identical() {
 #[test]
 fn drain_under_combined_chaos_loses_nothing() {
     const COMPONENTS: [HwComponent; 1] = [HwComponent::L1D];
-    let dir = tmpdir("combo");
+    let dir = TempDir::new("combo");
     let disk_file = dir.join("fake-free-mb");
     std::fs::write(&disk_file, "100000").unwrap();
     let disk_file_str = disk_file.to_str().unwrap().to_string();
@@ -362,5 +355,4 @@ fn drain_under_combined_chaos_loses_nothing() {
         "chaos-drained store differs from the single-process sweep"
     );
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,25 +8,21 @@
 //! > resumable shard directory — errors are structured JSON, never
 //! > connection drops.
 
+mod common;
+
+use common::TempDir;
 use mbu_bench::{Experiments, FabricConfig, ResultStore, Supervisor, WorkerPool};
 use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mbu_bench::Json;
 
 const WORKLOAD: Workload = Workload::Qsort;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-serve-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Single-process reference bytes for `components` at `runs` injections.
 fn reference_for(components: &[HwComponent], runs: usize) -> String {
@@ -35,7 +31,7 @@ fn reference_for(components: &[HwComponent], runs: usize) -> String {
         workloads: vec![WORKLOAD],
         ..Experiments::default()
     };
-    let dir = tmpdir(&format!("ref-{}-{runs}", components.len()));
+    let dir = TempDir::new(&format!("ref-{}-{runs}", components.len()));
     let path = dir.join("measured.csv");
     let mut store = ResultStore::new();
     for &c in components {
@@ -43,9 +39,7 @@ fn reference_for(components: &[HwComponent], runs: usize) -> String {
         assert!(report.failed.is_empty(), "reference: {:?}", report.failed);
     }
     store.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    text
+    std::fs::read_to_string(&path).unwrap()
 }
 
 /// A running `repro daemon` child bound to an ephemeral port.
@@ -154,7 +148,7 @@ fn events_of(addr: &str, id: &str) -> String {
 /// CSV byte-identical to its single-process reference.
 #[test]
 fn concurrent_http_sweeps_match_single_process_references() {
-    let dir = tmpdir("concurrent");
+    let dir = TempDir::new("concurrent");
     let daemon = Daemon::boot(
         &dir,
         &[
@@ -214,7 +208,6 @@ fn concurrent_http_sweeps_match_single_process_references() {
     let text = list.encode();
     assert!(text.contains(&a) && text.contains(&b), "{text}");
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every rejection is a structured JSON error with the right status code:
@@ -223,7 +216,7 @@ fn concurrent_http_sweeps_match_single_process_references() {
 /// value fails daemon startup with a typed `ConfigError` naming the var.
 #[test]
 fn structured_errors_queue_limits_and_typed_env_knobs() {
-    let dir = tmpdir("errors");
+    let dir = TempDir::new("errors");
     let daemon = Daemon::boot(
         &dir,
         &[
@@ -301,7 +294,6 @@ fn structured_errors_queue_limits_and_typed_env_knobs() {
         stderr.contains("MBU_HTTP_MAX_JOBS"),
         "startup error must name the bad var:\n{stderr}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Cancelling mid-sweep drains in-flight units and leaves the job's shard
@@ -310,7 +302,7 @@ fn structured_errors_queue_limits_and_typed_env_knobs() {
 #[test]
 fn cancellation_leaves_resumable_shards() {
     const COMPONENTS: [HwComponent; 3] = [HwComponent::L1D, HwComponent::L1I, HwComponent::L2];
-    let dir = tmpdir("cancel");
+    let dir = TempDir::new("cancel");
     let daemon = Daemon::boot(&dir, &[("MBU_WORKERS", "1"), ("MBU_RUNS", "10")]);
     let id = submit(
         &daemon.addr,
@@ -397,7 +389,6 @@ fn cancellation_leaves_resumable_shards() {
         reference_for(&COMPONENTS, 10),
         "resumed store differs from the single-process sweep"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// SIGKILLing the daemon mid-job and restarting it on the same state
@@ -407,7 +398,7 @@ fn cancellation_leaves_resumable_shards() {
 #[test]
 fn daemon_restart_resumes_interrupted_jobs() {
     const COMPONENTS: [HwComponent; 3] = [HwComponent::L1D, HwComponent::L1I, HwComponent::L2];
-    let dir = tmpdir("restart");
+    let dir = TempDir::new("restart");
     let env = [
         ("MBU_HTTP_MAX_JOBS", "1"),
         ("MBU_WORKERS", "1"),
@@ -483,5 +474,4 @@ fn daemon_restart_resumes_interrupted_jobs() {
         "resumed job store differs from the single-process sweep"
     );
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }

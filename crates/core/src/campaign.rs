@@ -27,10 +27,11 @@
 //!   [`FaultEffect::Assert`] and the campaign keeps going. The panic payload
 //!   and the run's seed are preserved in the campaign's [`AnomalyLog`] so
 //!   the run can be replayed under a debugger.
-//! * **Wall-clock watchdog** — a watchdog thread cancels any run that
-//!   exceeds [`CampaignConfig::run_wall_budget`] via the simulator's
-//!   cooperative cancel flag; the run classifies as
-//!   [`FaultEffect::Timeout`] and is logged as an anomaly.
+//! * **Wall-clock deadline** — each run gets a deadline of
+//!   [`CampaignConfig::run_wall_budget`] from its start, which the
+//!   simulator polls every 1,024 cycles; a run stopped there classifies as
+//!   [`FaultEffect::Timeout`] and is logged as an anomaly. No extra thread
+//!   watches the runs, so a batch ends the moment its last run does.
 //! * **Typed errors** — configuration problems and failed golden runs are
 //!   reported as [`CampaignError`] through [`Campaign::try_new`] /
 //!   [`Campaign::try_run`]; the panicking [`Campaign::new`] / \
@@ -49,8 +50,8 @@ use mbu_sram::{BitCoord, Geometry, Restorable};
 use mbu_workloads::Workload;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Which SRAM array of the target component to inject into.
@@ -173,11 +174,11 @@ pub struct CampaignConfig {
     /// Collect a per-run fault list ([`RunDetail`]) in the result.
     pub collect_details: bool,
     /// Wall-clock budget per injection run. A run past its budget is
-    /// cancelled by the watchdog thread and classified as
-    /// [`FaultEffect::Timeout`]; `None` disables the watchdog. Watchdog
-    /// cancellation depends on host speed, so it is the one knob that can
-    /// make results non-deterministic — the generous default only fires on
-    /// genuinely wedged runs.
+    /// stopped at the simulator's next deadline poll and classified as
+    /// [`FaultEffect::Timeout`]; `None` disables the deadline. Stopping
+    /// depends on host speed, so it is the one knob that can make results
+    /// non-deterministic — the generous default only fires on genuinely
+    /// wedged runs.
     pub run_wall_budget: Option<Duration>,
     /// Consult a fault-free [`LivenessOracle`] before simulating each run:
     /// a mask whose flipped bits are all provably dead at the injection
@@ -337,8 +338,8 @@ pub enum AnomalyKind {
     /// The run panicked inside the isolation boundary; it was classified as
     /// [`FaultEffect::Assert`].
     Panic,
-    /// The run exceeded its wall-clock budget and was cancelled by the
-    /// watchdog; it was classified as [`FaultEffect::Timeout`].
+    /// The run exceeded its wall-clock budget and was stopped at its
+    /// deadline; it was classified as [`FaultEffect::Timeout`].
     WallClock,
     /// The snapshot store hit its memory cap while recording and degraded
     /// to a sparser checkpoint interval (campaign-level, logged as run 0;
@@ -505,7 +506,7 @@ pub struct Anomaly {
     pub run_seed: u64,
     /// What happened.
     pub kind: AnomalyKind,
-    /// The panic payload, or a description of the watchdog cancellation.
+    /// The panic payload, or a description of the deadline stop.
     pub message: String,
 }
 
@@ -593,8 +594,8 @@ pub struct CampaignResult {
     /// Per-run fault list, present when
     /// [`CampaignConfig::collect_details`] was enabled.
     pub details: Option<Vec<RunDetail>>,
-    /// Runs that panicked or were cancelled by the watchdog (empty for a
-    /// healthy campaign).
+    /// Runs that panicked or were stopped at their wall-clock deadline
+    /// (empty for a healthy campaign).
     pub anomalies: AnomalyLog,
     /// Runs the liveness oracle classified as Masked without simulation
     /// (zero unless [`CampaignConfig::use_liveness_oracle`] was set).
@@ -683,17 +684,9 @@ struct RunExtras {
     snapshot_restore: bool,
     /// A reconvergence check proved the run masked before it finished.
     snapshot_early_masked: bool,
+    /// The simulator stopped the run unfinished at its wall-clock deadline.
+    deadline_hit: bool,
 }
-
-/// A watchdog slot: the run currently executing on one worker thread.
-/// Registration and cancellation are serialized by the slot mutex, so the
-/// watchdog can never cancel a *newer* run than the one it observed.
-struct ActiveRun {
-    started: Instant,
-    cancel: Arc<AtomicBool>,
-}
-
-type WatchdogSlots = Vec<Mutex<Option<ActiveRun>>>;
 
 /// A runnable campaign.
 #[derive(Debug, Clone)]
@@ -782,7 +775,7 @@ impl Campaign {
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
         snapshots: Option<&SnapshotStore>,
-        cancel: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras) {
         let cfg = &self.config;
         if let Some(hook) = &cfg.run_hook {
@@ -818,10 +811,11 @@ impl Campaign {
             golden_output,
             golden_code,
             snapshots,
-            Some(cancel),
+            deadline,
         );
         extras.snapshot_restore = run_extras.snapshot_restore;
         extras.snapshot_early_masked = run_extras.snapshot_early_masked;
+        extras.deadline_hit = run_extras.deadline_hit;
         let detail = RunDetail {
             index: run_index,
             inject_cycle: inject_at,
@@ -848,7 +842,7 @@ impl Campaign {
         golden_output: &[u8],
         golden_code: u32,
         snapshots: Option<&SnapshotStore>,
-        cancel: Option<&Arc<AtomicBool>>,
+        deadline: Option<Instant>,
     ) -> (FaultEffect, u64, RunExtras) {
         let cfg = &self.config;
         let mut extras = RunExtras::default();
@@ -859,8 +853,8 @@ impl Campaign {
             sim.restore(store.nearest_at_or_before(inject_at));
             extras.snapshot_restore = true;
         }
-        if let Some(cancel) = cancel {
-            sim.set_cancel_flag(Arc::clone(cancel));
+        if let Some(deadline) = deadline {
+            sim.set_deadline(deadline);
         }
         let limit = fault_free_cycles * cfg.timeout_factor;
         // The injection point precedes the fault-free end, so the run cannot
@@ -882,6 +876,7 @@ impl Campaign {
                 end
             }
         };
+        extras.deadline_hit = sim.deadline_hit();
         let result = mbu_cpu::RunResult {
             end: end.unwrap_or(RunEnd::CycleLimit),
             output: sim.output().to_vec(),
@@ -933,12 +928,12 @@ impl Campaign {
     }
 
     /// Executes one injection run inside the isolation boundary: panics are
-    /// captured (and classified as [`FaultEffect::Assert`]), watchdog
-    /// cancellations are logged.
+    /// captured (and classified as [`FaultEffect::Assert`]), runs stopped at
+    /// their deadline are logged.
     ///
     /// `catch_unwind` unwind-safety audit: the closure captures `&self`
     /// (immutable configuration), `&Program` (immutable), the golden
-    /// reference slices (immutable) and the `cancel` flag (atomic). All
+    /// reference slices (immutable) and the deadline (`Copy`). All
     /// mutable state — simulator, mask generator — lives *inside* the
     /// closure and is dropped on unwind, so nothing observable can be left
     /// half-updated; the `AssertUnwindSafe` is sound.
@@ -953,7 +948,7 @@ impl Campaign {
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
         snapshots: Option<&SnapshotStore>,
-        cancel: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras, Option<Anomaly>) {
         install_quiet_panic_hook();
         let outcome = IN_ISOLATED_RUN.with(|flag| {
@@ -968,7 +963,7 @@ impl Campaign {
                     geometry,
                     oracle,
                     snapshots,
-                    cancel,
+                    deadline,
                 )
             }));
             flag.set(false);
@@ -976,7 +971,10 @@ impl Campaign {
         });
         match outcome {
             Ok((detail, extras)) => {
-                let anomaly = if cancel.load(Ordering::Relaxed) {
+                // Logged exactly when the simulator stopped the run, so a
+                // run that finished just before its deadline keeps its
+                // normal classification and no anomaly.
+                let anomaly = if extras.deadline_hit {
                     Some(Anomaly {
                         run_index,
                         run_seed: derive_run_seed(self.config.seed, run_index),
@@ -1048,17 +1046,10 @@ impl Campaign {
         .min(range.len())
         .max(1);
         let next = AtomicUsize::new(range.start);
-        let slots: WatchdogSlots = (0..threads).map(|_| Mutex::new(None)).collect();
-        let watchdog_stop = AtomicBool::new(false);
         let mut worker_panicked = false;
         std::thread::scope(|scope| {
-            if let Some(budget) = cfg.run_wall_budget {
-                let slots = &slots;
-                let watchdog_stop = &watchdog_stop;
-                scope.spawn(move || watchdog(slots, budget, watchdog_stop));
-            }
             let mut handles = Vec::new();
-            for slot in &slots {
+            for _ in 0..threads {
                 let next = &next;
                 let range = &range;
                 handles.push(scope.spawn(move || {
@@ -1071,11 +1062,11 @@ impl Campaign {
                         if i >= range.end {
                             break;
                         }
-                        let cancel = Arc::new(AtomicBool::new(false));
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(ActiveRun {
-                            started: Instant::now(),
-                            cancel: Arc::clone(&cancel),
-                        });
+                        // Taken before the run hook, so time spent there
+                        // counts against the budget.
+                        let deadline = cfg
+                            .run_wall_budget
+                            .and_then(|budget| Instant::now().checked_add(budget));
                         let (detail, extras, anomaly) = self.one_run_isolated(
                             program,
                             i,
@@ -1085,9 +1076,8 @@ impl Campaign {
                             geometry,
                             oracle,
                             snapshots,
-                            &cancel,
+                            deadline,
                         );
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
                         local.record(detail.effect);
                         local_extras.0 += u64::from(extras.oracle_skip);
                         local_extras.1 += u64::from(extras.snapshot_restore);
@@ -1118,7 +1108,6 @@ impl Campaign {
                     Err(_) => worker_panicked = true,
                 }
             }
-            watchdog_stop.store(true, Ordering::Relaxed);
         });
         if worker_panicked {
             return Err(CampaignError::WorkerPanicked);
@@ -1447,35 +1436,15 @@ fn run_with_reconvergence(
                 if end.is_some() {
                     return (end, false);
                 }
-                if sim.cycle() < check {
-                    // The cooperative cancel flag tripped mid-segment (the
-                    // wall-clock watchdog): surface the unfinished run the
-                    // same way `run_until_cycle` does.
+                if sim.deadline_hit() {
+                    // The run deadline passed mid-segment: surface the
+                    // unfinished run the same way `run_until_cycle` does.
                     return (None, false);
                 }
                 if let Some(golden) = store.golden_at(check) {
                     if sim.converged_with(golden) {
                         return (None, true);
                     }
-                }
-            }
-        }
-    }
-}
-
-/// The watchdog loop: periodically scans the worker slots and cancels any
-/// run older than `budget`. Exits promptly once `stop` is raised.
-fn watchdog(slots: &WatchdogSlots, budget: Duration, stop: &AtomicBool) {
-    // Poll a few times per budget so overshoot stays proportional, but stay
-    // responsive to shutdown even with long budgets.
-    let poll = (budget / 8).clamp(Duration::from_millis(1), Duration::from_millis(100));
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
-        for slot in slots {
-            let guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(active) = guard.as_ref() {
-                if active.started.elapsed() >= budget {
-                    active.cancel.store(true, Ordering::Relaxed);
                 }
             }
         }
@@ -1761,8 +1730,8 @@ mod resilience_tests {
 
     fn stall_hard(index: usize) {
         if index == 1 {
-            // Long enough for the watchdog to observe, but bounded so a
-            // broken watchdog doesn't hang the suite.
+            // Sleeps through the whole 100 ms budget before the run starts,
+            // so its deadline has passed by the first poll.
             std::thread::sleep(Duration::from_millis(600));
         }
     }
@@ -1775,16 +1744,17 @@ mod resilience_tests {
                 .seed(2)
                 .threads(1)
                 .run_wall_budget(Some(Duration::from_millis(100)))
+                .collect_details(true)
                 .with_run_hook(stall_hard),
         )
         .run();
         assert_eq!(r.counts.total(), 3);
-        // Run 1 slept through its budget: cancelled → Timeout + anomaly.
-        // (A slow or loaded host may additionally cancel a healthy run, so
+        // Run 1 slept through its budget: stopped → Timeout + anomaly.
+        // (A slow or loaded host may additionally stop a healthy run, so
         // assert containment, not exact equality.)
         assert!(
             r.counts.timeout >= 1,
-            "watchdog must cancel the stalled run: {}",
+            "the deadline must stop the stalled run: {}",
             r.counts
         );
         let wall: Vec<_> = r
@@ -1796,9 +1766,21 @@ mod resilience_tests {
         assert!(!wall.is_empty(), "cancellation must be logged");
         assert!(
             wall.iter().any(|a| a.run_index == 1),
-            "the stalled run must be among the cancelled: {:?}",
+            "the stalled run must be among the stopped: {:?}",
             wall
         );
+        // A wall-clock anomaly is logged only for a run the deadline cut
+        // short, so each one is a Timeout — never a normally finished run.
+        let details = r.details.as_ref().expect("details collected");
+        for a in &wall {
+            let run = details.iter().find(|d| d.index == a.run_index);
+            assert_eq!(
+                run.map(|d| d.effect),
+                Some(FaultEffect::Timeout),
+                "run {} logged as wall-clock but not counted as Timeout",
+                a.run_index
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use mbu_mem::{MemFault, MemSnapshot, MemorySystem};
 use mbu_sram::{BitCoord, Geometry, Injectable, LivenessProbe, Restorable, Snapshot};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// Steps without a single committed instruction after which
 /// [`Simulator::run_until_cycle`] gives up and reports [`RunEnd::CycleLimit`].
@@ -31,8 +30,8 @@ use std::sync::Arc;
 /// into an early, still-deterministic `Timeout` classification.
 const STALL_FUSE: u64 = 1 << 18;
 
-/// How often (in steps) [`Simulator::run_until_cycle`] polls the cooperative
-/// cancel flag. Power of two so the check compiles to a mask.
+/// How often (in cycles) [`Simulator::run_until_cycle`] compares the clock
+/// against the run deadline. Power of two so the check compiles to a mask.
 const CANCEL_POLL_INTERVAL: u64 = 1 << 10;
 
 /// A pipeline-recorded fault, raised precisely at commit.
@@ -217,8 +216,10 @@ pub struct Simulator {
     committed: u64,
     output: Vec<u8>,
     end: Option<RunEnd>,
-    /// Cooperative cancellation flag, polled by [`Simulator::run_until_cycle`].
-    cancel: Option<Arc<AtomicBool>>,
+    /// Wall-clock run deadline, polled by [`Simulator::run_until_cycle`].
+    deadline: Option<Instant>,
+    /// Whether a poll found the deadline passed and stopped the run.
+    deadline_hit: bool,
     /// Register-file liveness probe (ACE analysis), if attached.
     prf_probe: Option<Box<dyn LivenessProbe>>,
     /// Pipeline-queue occupancy probe, if attached.
@@ -272,7 +273,8 @@ impl Simulator {
             committed: 0,
             output: Vec::new(),
             end: None,
-            cancel: None,
+            deadline: None,
+            deadline_hit: false,
             prf_probe: None,
             pipeline_probe: None,
             probes_attached: false,
@@ -300,14 +302,20 @@ impl Simulator {
         }
     }
 
-    /// Installs a cooperative cancellation flag. While the flag is `false`
-    /// the simulator runs normally; once another thread (e.g. a campaign
-    /// watchdog) sets it, [`Simulator::run_until_cycle`] returns at the next
-    /// poll point with the run still unfinished, which callers classify as a
-    /// timeout. Polling is amortized over [`CANCEL_POLL_INTERVAL`] steps, so
-    /// cancellation latency is bounded but not instant.
-    pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
-        self.cancel = Some(cancel);
+    /// Installs a wall-clock deadline. Before it the simulator runs
+    /// normally; once it passes, [`Simulator::run_until_cycle`] returns at
+    /// the next poll point with the run still unfinished, which callers
+    /// classify as a timeout, and [`Simulator::deadline_hit`] turns `true`.
+    /// The clock is read once every [`CANCEL_POLL_INTERVAL`] cycles, so a
+    /// run overshoots its deadline by at most that many steps.
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
+    }
+
+    /// Whether the run was stopped unfinished because its deadline passed.
+    /// Once set, every later `run_until_cycle*` call returns immediately.
+    pub fn deadline_hit(&self) -> bool {
+        self.deadline_hit
     }
 
     /// The configuration this simulator was built with.
@@ -987,9 +995,10 @@ impl Simulator {
     /// * a **stall fuse** — [`STALL_FUSE`] consecutive cycles without a
     ///   commit end the run as [`RunEnd::CycleLimit`] (a wedged pipeline is a
     ///   livelock; burning the remaining budget would only waste wall-clock);
-    /// * a **cancel poll** — if a flag installed via
-    ///   [`Simulator::set_cancel_flag`] turns `true`, the loop exits early
-    ///   with the run unfinished (`None` end unless it already ended).
+    /// * a **deadline poll** — once a deadline installed via
+    ///   [`Simulator::set_deadline`] has passed, the loop exits early with
+    ///   the run unfinished (`None` end) and [`Simulator::deadline_hit`]
+    ///   set.
     pub fn run_until_cycle(&mut self, cycle: u64) -> Option<RunEnd> {
         let mut stalled: u64 = 0;
         self.run_until_cycle_resumable(cycle, &mut stalled)
@@ -1005,8 +1014,10 @@ impl Simulator {
     /// regardless of how the range was segmented, which is what keeps
     /// fast-forwarded injection runs classification-identical to full runs.
     pub fn run_until_cycle_resumable(&mut self, cycle: u64, stalled: &mut u64) -> Option<RunEnd> {
+        if self.deadline_hit {
+            return self.end;
+        }
         let mut last_committed = self.committed;
-        let mut steps: u64 = 0;
         while self.end.is_none() && self.cycle < cycle {
             self.step();
             if self.committed == last_committed {
@@ -1019,10 +1030,12 @@ impl Simulator {
                 last_committed = self.committed;
                 *stalled = 0;
             }
-            steps += 1;
-            if steps.is_multiple_of(CANCEL_POLL_INTERVAL) {
-                if let Some(cancel) = &self.cancel {
-                    if cancel.load(Ordering::Relaxed) {
+            // Polled on the cycle counter, not per call, so a run split
+            // into short segments still reads the clock at a fixed rate.
+            if self.cycle.is_multiple_of(CANCEL_POLL_INTERVAL) && self.end.is_none() {
+                if let Some(deadline) = self.deadline {
+                    if Instant::now() >= deadline {
+                        self.deadline_hit = true;
                         break;
                     }
                 }
@@ -1098,7 +1111,7 @@ fn same_completion_set(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// copy-on-write DRAM pages), the syscall-shim output buffer and the
 /// cycle/retire counters.
 ///
-/// Non-architectural attachments — the cancel flag and liveness probes —
+/// Non-architectural attachments — the run deadline and liveness probes —
 /// are deliberately excluded: restoring a snapshot into a fresh simulator
 /// built for the same program and configuration reproduces execution
 /// cycle-for-cycle.
@@ -1725,6 +1738,55 @@ mod snapshot_tests {
         assert_eq!(fresh.snapshot(), saved, "roundtrip must be bit-exact");
         let replayed = fresh.run(1_000_000);
         assert_eq!(replayed, uninterrupted);
+    }
+
+    #[test]
+    fn passed_deadline_stops_the_run_unfinished_within_one_poll() {
+        let p = busy_program();
+        let cfg = CoreConfig::cortex_a9_like();
+        let full = Simulator::new(cfg, &p).run(1_000_000);
+        assert!(
+            full.cycles > 2 * CANCEL_POLL_INTERVAL,
+            "program outlasts a poll"
+        );
+
+        let mut sim = Simulator::new(cfg, &p);
+        sim.set_deadline(Instant::now());
+        assert_eq!(sim.run_until_cycle(1_000_000), None, "run left unfinished");
+        assert!(sim.deadline_hit());
+        assert!(
+            sim.cycle() <= CANCEL_POLL_INTERVAL,
+            "stopped at cycle {}",
+            sim.cycle()
+        );
+        // Sticky: a later segment makes no progress.
+        let at = sim.cycle();
+        assert_eq!(sim.run_until_cycle(1_000_000), None);
+        assert_eq!(sim.cycle(), at);
+    }
+
+    #[test]
+    fn far_deadline_is_bit_identical_to_no_deadline() {
+        let p = busy_program();
+        let cfg = CoreConfig::cortex_a9_like();
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let plain = Simulator::new(cfg, &p).run(1_000_000);
+
+        let mut sim = Simulator::new(cfg, &p);
+        sim.set_deadline(far);
+        sim.run_until_cycle(1_000_000);
+        assert!(!sim.deadline_hit());
+        assert_eq!(sim.run(1_000_000), plain, "from reset");
+
+        let mut sim = Simulator::new(cfg, &p);
+        sim.run_until_cycle(137);
+        let saved = sim.snapshot();
+        let mut fresh = Simulator::new(cfg, &p);
+        fresh.restore(&saved);
+        fresh.set_deadline(far);
+        fresh.run_until_cycle(1_000_000);
+        assert!(!fresh.deadline_hit());
+        assert_eq!(fresh.run(1_000_000), plain, "after restore");
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! validates submissions, executes jobs, and serves their artifacts. Each
 //! job owns a directory under `<state>/jobs/<id>/` holding `job.json` (the
 //! canonical validated spec, written before the submission is
-//! acknowledged) and `outcome.json` (written atomically when the job
-//! reaches a terminal state). A restarted manager re-adopts terminal jobs
-//! as served results and re-queues jobs that never wrote an outcome — the
-//! backend's own checkpointing (the fabric's shard stores) makes the
-//! re-run a resume, not a restart.
+//! acknowledged), `outcome.json` (written atomically when the job
+//! reaches a terminal state) and `events.ndjson` (the job's event log,
+//! moved out of memory once the job is terminal). A restarted manager
+//! re-adopts terminal jobs as served results, replaying their event logs,
+//! and re-queues jobs that never wrote an outcome — the backend's own
+//! checkpointing (the fabric's shard stores) makes the re-run a resume,
+//! not a restart.
 
 use mbu_gefin::json::Json;
 use std::collections::{BTreeMap, VecDeque};
@@ -22,6 +24,9 @@ use std::time::Duration;
 /// Retained live events per job; older events are dropped from memory
 /// (their sequence numbers stay burned).
 const MAX_EVENTS: usize = 10_000;
+
+/// A terminal job's event log, one [`Event::to_json`] object per line.
+const EVENTS_FILE: &str = "events.ndjson";
 
 /// A structured API error: HTTP status + message, rendered as
 /// `{"error": …}` by the daemon.
@@ -139,6 +144,14 @@ impl Event {
             ("data".into(), self.data.clone()),
         ])
     }
+
+    fn from_json(v: &Json) -> Option<Event> {
+        Some(Event {
+            seq: v.get("seq")?.as_u64()?,
+            kind: v.get("kind")?.as_str()?.to_string(),
+            data: v.get("data")?.clone(),
+        })
+    }
 }
 
 /// A validated submission: a display title plus the canonical (fully
@@ -250,7 +263,10 @@ struct JobRecord {
     spec: Json,
     dir: PathBuf,
     state: JobState,
+    /// Live events; empty once the log has moved to [`EVENTS_FILE`].
     events: VecDeque<Event>,
+    /// Whether the (terminal) job's events are served from [`EVENTS_FILE`].
+    events_on_disk: bool,
     next_seq: u64,
     progress: Option<(usize, usize)>,
     cancel: Arc<AtomicBool>,
@@ -366,6 +382,32 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// Moves a terminal job's events from memory to [`EVENTS_FILE`]. Called
+/// under the jobs lock in the same critical section that made the job
+/// terminal, so no reader ever finds the log in neither place. If the
+/// write fails the events stay in memory and are served from there.
+fn persist_event_log(job: &mut JobRecord) {
+    let mut log = String::new();
+    for event in &job.events {
+        log.push_str(&event.to_json().encode());
+        log.push('\n');
+    }
+    if write_atomic(&job.dir.join(EVENTS_FILE), log.as_bytes()).is_ok() {
+        job.events = VecDeque::new();
+        job.events_on_disk = true;
+    }
+}
+
+/// Reads a persisted event log. A missing file reads as empty and an
+/// unparsable line is skipped: the log is history, not state.
+fn read_event_log(path: &Path) -> Vec<Event> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .filter_map(|v| Event::from_json(&v))
+        .collect()
+}
+
 /// The job manager: submission, bounded concurrent execution, events,
 /// cancellation, restart adoption.
 pub struct JobManager {
@@ -437,6 +479,7 @@ impl JobManager {
                 dir: job_dir,
                 state: JobState::Queued,
                 events: VecDeque::new(),
+                events_on_disk: false,
                 next_seq: 0,
                 progress: None,
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -444,9 +487,15 @@ impl JobManager {
             };
             match outcome {
                 Some(outcome) => {
-                    // Finished before the restart: serve its results.
+                    // Finished before the restart: serve its results and
+                    // replay its event log. The log is missing (and replays
+                    // empty) only if the daemon died between writing the
+                    // outcome and the log.
                     job.state = outcome.state();
                     job.outcome = Some(outcome);
+                    let log = read_event_log(&job.dir.join(EVENTS_FILE));
+                    job.next_seq = log.last().map_or(0, |e| e.seq);
+                    job.events_on_disk = true;
                 }
                 None => {
                     // Interrupted mid-flight: re-queue. The backend's own
@@ -547,6 +596,7 @@ impl JobManager {
                 job.state = outcome.state();
                 push_event(job, "state", Json::str(outcome.state().as_str()));
                 job.outcome = Some(outcome);
+                persist_event_log(job);
             }
             self.shared.cond.notify_all();
         }
@@ -648,6 +698,7 @@ impl JobManager {
                 dir: dir.clone(),
                 state: JobState::Queued,
                 events: VecDeque::new(),
+                events_on_disk: false,
                 next_seq: 0,
                 progress: None,
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -749,7 +800,8 @@ impl JobManager {
 
     /// Events with `seq > after`, blocking up to `timeout` for new ones.
     /// Returns `(events, terminal)`; an empty batch with `terminal ==
-    /// true` means the stream is finished.
+    /// true` means the stream is finished. A terminal job's events are
+    /// replayed from its [`EVENTS_FILE`], read outside the jobs lock.
     ///
     /// # Errors
     ///
@@ -767,6 +819,13 @@ impl JobManager {
                 .jobs
                 .get(id)
                 .ok_or_else(|| ApiError::not_found(format!("no job `{id}`")))?;
+            if job.events_on_disk {
+                let log = job.dir.join(EVENTS_FILE);
+                drop(inner);
+                let mut events = read_event_log(&log);
+                events.retain(|e| e.seq > after);
+                return Ok((events, true));
+            }
             let fresh: Vec<Event> = job
                 .events
                 .iter()
@@ -907,6 +966,52 @@ mod tests {
         assert!(terminal);
         let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, vec!["submitted", "state", "working", "state"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn terminal_event_log_moves_to_disk_and_replays_after_restart() {
+        let dir = tmpdir("replay");
+        let seqs_and_kinds = |events: &[Event]| -> Vec<(u64, String)> {
+            events.iter().map(|e| (e.seq, e.kind.clone())).collect()
+        };
+        let (id, history) = {
+            let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 1, 4).unwrap();
+            let id = mgr
+                .submit(&Json::Obj(vec![("x".into(), Json::u64(3))]))
+                .unwrap();
+            wait_terminal(&mgr, &id);
+            {
+                let inner = mgr.shared.inner.lock().unwrap();
+                let job = &inner.jobs[&id];
+                assert!(job.events_on_disk);
+                assert_eq!(
+                    job.events.capacity(),
+                    0,
+                    "terminal job holds no events in memory"
+                );
+            }
+            assert!(dir.join("jobs").join(&id).join(EVENTS_FILE).exists());
+            let (events, terminal) = mgr.events_after(&id, 0, Duration::ZERO).unwrap();
+            assert!(terminal);
+            let history = seqs_and_kinds(&events);
+            assert_eq!(
+                history,
+                [(1, "submitted"), (2, "state"), (3, "working"), (4, "state")]
+                    .map(|(seq, kind)| (seq, kind.to_string()))
+            );
+            assert_eq!(events[3].data.as_str(), Some("done"));
+            let (tail, _) = mgr.events_after(&id, 2, Duration::ZERO).unwrap();
+            assert_eq!(seqs_and_kinds(&tail), history[2..]);
+            (id, history)
+        };
+        // A restarted manager replays the same log and reports its length.
+        let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 1, 4).unwrap();
+        let (events, terminal) = mgr.events_after(&id, 0, Duration::ZERO).unwrap();
+        assert!(terminal);
+        assert_eq!(seqs_and_kinds(&events), history);
+        let status = mgr.status(&id).unwrap();
+        assert_eq!(status.get("events").and_then(Json::as_u64), Some(4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
