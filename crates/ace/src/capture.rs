@@ -166,7 +166,7 @@ pub struct OccupancyStats {
 }
 
 /// Chunked occupancy accumulator (bounded memory: one point per
-/// [`OCCUPANCY_CHUNK`] cycles, running sums for the means).
+/// `OCCUPANCY_CHUNK` cycles, running sums for the means).
 #[derive(Debug, Default)]
 pub struct OccupancyProbe {
     samples: u64,

@@ -529,14 +529,11 @@ pub fn flip_file_bit(path: &Path, byte: u64, bit: u8) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::io::RealIo;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("mbu-chaos-{tag}-{}", std::process::id()))
-    }
+    use crate::test_support::TempDir;
 
     #[test]
     fn scripted_appends_fail_and_heal() {
-        let dir = tmpdir("plan");
+        let dir = TempDir::new("chaos-plan");
         let path = dir.join("f.csv");
         let io = ChaosIo::new(&RealIo, ChaosPlan::failing([1]));
         io.append(&path, "a\n").unwrap();
@@ -544,12 +541,11 @@ mod tests {
         io.append(&path, "c\n").unwrap();
         assert_eq!(io.read_to_string(&path).unwrap(), "a\nc\n");
         assert_eq!(io.append_calls(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_append_leaves_prefix_and_errors() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("chaos-torn");
         let path = dir.join("f.csv");
         let io = ChaosIo::new(
             &RealIo,
@@ -564,12 +560,11 @@ mod tests {
         // The next call is healthy.
         io.append(&path, "rest\n").unwrap();
         assert_eq!(io.read_to_string(&path).unwrap(), "0123rest\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn persistent_failure_from_index() {
-        let dir = tmpdir("dead");
+        let dir = TempDir::new("chaos-dead");
         let path = dir.join("f.csv");
         let io = ChaosIo::new(
             &RealIo,
@@ -586,7 +581,6 @@ mod tests {
         io.set_plan(ChaosPlan::none());
         io.append(&path, "b\n").unwrap();
         assert_eq!(io.read_to_string(&path).unwrap(), "a\nb\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -644,7 +638,7 @@ mod tests {
 
     #[test]
     fn file_corruption_helpers() {
-        let dir = tmpdir("corrupt");
+        let dir = TempDir::new("chaos-corrupt");
         let path = dir.join("f.csv");
         RealIo.append(&path, "hello world\n").unwrap();
         flip_file_bit(&path, 0, 1).unwrap();
@@ -655,6 +649,5 @@ mod tests {
             flip_file_bit(&path, 999, 0).is_err(),
             "out of range is typed"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -318,20 +318,6 @@ impl Default for Experiments {
 
 impl Experiments {
     /// Builds the configuration from `MBU_*` environment variables,
-    /// panicking on invalid values (legacy entry point; prefer
-    /// [`Experiments::try_from_env`] for a typed error).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`]'s message on any invalid variable.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(e) => e,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds the configuration from `MBU_*` environment variables,
     /// rejecting invalid values with a typed [`ConfigError`] instead of a
     /// panic or — worse — a silent fallback to the default. Non-unicode
     /// values (which `std::env::var` reports indistinguishably from
@@ -1697,7 +1683,7 @@ impl Experiments {
     /// Analytical (ACE) vs injected AVF cross-validation over every
     /// configured workload and all six components.
     ///
-    /// One fault-free [`mbu_ace::capture`] per workload yields the
+    /// One fault-free [`mbu_ace::capture()`] per workload yields the
     /// analytical AVF of all six data arrays at once; the injected AVF is
     /// the single-bit campaign (`1 − masked fraction`), reused from
     /// `rstore` when present. Both sides checkpoint incrementally
@@ -1896,6 +1882,7 @@ impl Experiments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
 
     fn tiny() -> Experiments {
         Experiments {
@@ -1972,10 +1959,9 @@ mod tests {
     fn xval_cross_validates_and_resumes_from_checkpoints() {
         let e = tiny();
         let w = Workload::Stringsearch;
-        let dir = std::env::temp_dir().join(format!("mbu-xval-test-{}", std::process::id()));
+        let dir = TempDir::new("xval");
         let a_path = dir.join("analytical.csv");
         let i_path = dir.join("injected.csv");
-        let _ = std::fs::remove_dir_all(&dir);
         let mut astore = AnalyticalStore::new();
         let mut rstore = ResultStore::new();
         let rows = e
@@ -2019,7 +2005,6 @@ mod tests {
         assert_eq!(astore2.get(HwComponent::L2, w).unwrap().total_cycles, {
             astore.get(HwComponent::L2, w).unwrap().total_cycles
         });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2116,9 +2101,8 @@ mod tests {
         let e = tiny();
         let w = Workload::Stringsearch;
         let c = HwComponent::L2;
-        let dir = std::env::temp_dir().join(format!("mbu-equiv-test-{}", std::process::id()));
+        let dir = TempDir::new("equiv");
         let path = dir.join("equiv.csv");
-        let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultStore::new();
         let report = e
             .run_equiv_with(&[], &[c], &mut store, Some(&path))
@@ -2160,16 +2144,14 @@ mod tests {
         // The coverage table renders the stratified row.
         let t = e.equiv_table(&reloaded).to_string();
         assert!(t.contains("stratified"), "{t}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpointed_sweep_resumes_from_disk() {
         let e = tiny();
         let c = HwComponent::RegFile;
-        let dir = std::env::temp_dir().join(format!("mbu-sweep-test-{}", std::process::id()));
+        let dir = TempDir::new("sweep");
         let path = dir.join("sweep.csv");
-        let _ = std::fs::remove_file(&path);
         let mut store = ResultStore::new();
         e.run_sweep(&[c], &mut store, Some(&path)).unwrap();
         // Every finished campaign was flushed as it completed.
@@ -2180,6 +2162,5 @@ mod tests {
         let report = e.run_sweep(&[c], &mut resumed_store, Some(&path)).unwrap();
         assert_eq!(report.executed, 0);
         assert_eq!(report.skipped_existing, 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

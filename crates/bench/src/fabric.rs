@@ -4,7 +4,7 @@
 //! A sweep decomposes into [`UnitSpec`] work units — contiguous run-ranges
 //! of (component × workload × cardinality) campaigns. Per-run seeds derive
 //! from the campaign seed and the absolute run index alone
-//! ([`mbu_gefin::campaign::derive_run_seed`]), so the class counts of any
+//! (`mbu_gefin::campaign::derive_run_seed`), so the class counts of any
 //! disjoint cover of `0..runs` sum to exactly the full campaign's counts,
 //! and the campaign's error margin is a pure function of the summed counts
 //! ([`campaign_margin`]). That is the whole trick: workers execute ranges
@@ -46,8 +46,8 @@ use crate::chaos::WorkerChaos;
 use crate::io::{RealIo, StoreIo};
 use crate::protocol::{read_frame, write_frame, EquivSpec, ProtocolError, ToSupervisor, ToWorker};
 use crate::store::{
-    Key, ResultStore, ShardExhaustive, ShardLoadAudit, ShardRow, ShardStore, ShardStratified,
-    StoreError,
+    Key, LoadAudit, QuarantinedRow, ResultStore, RowDefect, ShardExhaustive, ShardRow, ShardStore,
+    ShardStratified, StoreError, StoreVersion,
 };
 use crate::Experiments;
 use mbu_cpu::HwComponent;
@@ -462,13 +462,38 @@ pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, std::io::Error> {
 
 /// What [`load_shard_dir`] found: every intact row across the directory,
 /// plus the per-file recovery audit.
-pub type ShardDirLoad = (Vec<ShardRow>, Vec<(PathBuf, ShardLoadAudit)>);
+pub type ShardDirLoad = (Vec<ShardRow>, Vec<(PathBuf, LoadAudit)>);
+
+/// Lets a shard directory hold a file that is not a shard store at all
+/// (wrong version line): it yields no rows — its worker wrote garbage, and
+/// the merge's gap detection re-runs whatever it covered — and an audit
+/// whose one quarantined line is the version line. The file is left as is.
+fn skip_foreign(
+    loaded: Result<(ShardStore, LoadAudit), StoreError>,
+) -> Result<(ShardStore, LoadAudit), StoreError> {
+    match loaded {
+        Err(StoreError::UnsupportedVersion { found }) => Ok((
+            ShardStore::new(),
+            LoadAudit {
+                version: StoreVersion::V2,
+                rows_loaded: 0,
+                quarantined: vec![QuarantinedRow {
+                    line: 1,
+                    raw: found,
+                    defect: RowDefect::Syntax {
+                        message: "not a shard store (bad version line)".into(),
+                    },
+                }],
+            },
+        )),
+        other => other,
+    }
+}
 
 /// Loads every shard store of `dir` crash-safely (defective rows
 /// quarantined to sidecars, files rewritten clean) and concatenates their
-/// rows. A shard file that is not a shard store at all (wrong version
-/// line) is skipped with its audit reporting zero rows — its worker wrote
-/// garbage, and the merge's gap detection re-runs whatever it covered.
+/// rows. A file that is not a shard store is skipped, its audit reporting
+/// zero rows.
 ///
 /// # Errors
 ///
@@ -477,28 +502,9 @@ pub fn load_shard_dir(io: &dyn StoreIo, dir: &Path) -> Result<ShardDirLoad, Stor
     let mut rows = Vec::new();
     let mut audits = Vec::new();
     for path in shard_files(dir)? {
-        match ShardStore::recover_with(io, &path) {
-            Ok((store, audit)) => {
-                rows.extend(store.rows().iter().cloned());
-                audits.push((path, audit));
-            }
-            Err(StoreError::UnsupportedVersion { found }) => {
-                audits.push((
-                    path,
-                    ShardLoadAudit {
-                        rows_loaded: 0,
-                        quarantined: vec![crate::store::QuarantinedRow {
-                            line: 1,
-                            raw: found,
-                            defect: crate::store::RowDefect::Syntax {
-                                message: "not a shard store (bad version line)".into(),
-                            },
-                        }],
-                    },
-                ));
-            }
-            Err(e) => return Err(e),
-        }
+        let (store, audit) = skip_foreign(ShardStore::recover_with(io, &path))?;
+        rows.extend(store.rows().iter().cloned());
+        audits.push((path, audit));
     }
     Ok((rows, audits))
 }
@@ -543,22 +549,7 @@ pub fn audit_shard_dir(exp: &Experiments, dir: &Path) -> Result<Vec<ShardAudit>,
     let mut audits = Vec::new();
     for path in shard_files(dir)? {
         let text = RealIo.read_to_string(&path)?;
-        let (store, load) = match ShardStore::from_csv_lossy(&text) {
-            Ok(pair) => pair,
-            Err(StoreError::UnsupportedVersion { .. }) => {
-                audits.push(ShardAudit {
-                    path,
-                    rows: 0,
-                    quarantined: 1,
-                    fresh: 0,
-                    stale: 0,
-                    exhaustive: 0,
-                    weight_defects: 0,
-                });
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
+        let (store, load) = skip_foreign(ShardStore::from_csv_lossy(&text))?;
         let mut audit = ShardAudit {
             path,
             rows: load.rows_loaded,
@@ -1086,6 +1077,25 @@ mod tests {
     }
 
     #[test]
+    fn foreign_file_in_shard_dir_yields_no_rows_and_stays_put() {
+        let dir = crate::test_support::TempDir::new("foreign-shard");
+        let foreign = dir.join("b.csv");
+        std::fs::write(&foreign, "not,a,shard\n").unwrap();
+        let audited = audit_shard_dir(&exp(10), &dir).unwrap();
+        assert_eq!((audited[0].rows, audited[0].quarantined), (0, 1));
+        let key = (HwComponent::L1D, Workload::Sha, 1);
+        ShardStore::append_row_with(&RealIo, &dir.join("a.csv"), &row(key, 0, 10, 7)).unwrap();
+        let (rows, audits) = load_shard_dir(&RealIo, &dir).unwrap();
+        assert_eq!(rows, vec![row(key, 0, 10, 7)]);
+        let (path, audit) = &audits[1];
+        assert_eq!(path, &foreign);
+        assert_eq!(audit.rows_loaded, 0);
+        assert_eq!(audit.quarantined.len(), 1);
+        assert_eq!(audit.quarantined[0].raw, "not,a,shard");
+        assert_eq!(std::fs::read_to_string(&foreign).unwrap(), "not,a,shard\n");
+    }
+
+    #[test]
     fn shard_audit_reconciles_class_range_annotations() {
         fn ex_row(
             key: Key,
@@ -1242,10 +1252,8 @@ mod tests {
     #[test]
     fn worker_exits_on_shutdown_without_waiting_out_its_heartbeat() {
         let (control, mut supervisor) = std::io::pipe().unwrap();
-        let shard = std::env::temp_dir().join(format!(
-            "mbu-worker-shutdown-{}/never-written.csv",
-            std::process::id()
-        ));
+        let dir = crate::test_support::TempDir::new("worker-shutdown");
+        let shard = dir.join("never-written.csv");
         let worker = {
             let shard = shard.clone();
             std::thread::spawn(move || {

@@ -208,15 +208,12 @@ pub fn free_disk_mb(path: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("mbu-io-{tag}-{}", std::process::id()))
-    }
 
     #[test]
     fn real_io_roundtrips_and_counts_length() {
-        let dir = tmpdir("roundtrip");
+        let dir = TempDir::new("io-roundtrip");
         let path = dir.join("nested/f.csv");
         let io = RealIo;
         assert_eq!(io.len(&path).unwrap(), 0, "missing file reads as empty");
@@ -226,7 +223,6 @@ mod tests {
         assert_eq!(io.len(&path).unwrap(), 4);
         io.write_atomic(&path, "replaced\n").unwrap();
         assert_eq!(io.read_to_string(&path).unwrap(), "replaced\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     struct FlakyIo {
@@ -255,7 +251,7 @@ mod tests {
 
     #[test]
     fn retry_io_rides_out_transient_failures() {
-        let dir = tmpdir("retry");
+        let dir = TempDir::new("io-retry");
         let path = dir.join("f.csv");
         let flaky = FlakyIo {
             fail_first: 2,
@@ -271,12 +267,11 @@ mod tests {
         );
         retry.append(&path, "survived\n").unwrap();
         assert_eq!(retry.read_to_string(&path).unwrap(), "survived\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn retry_io_surfaces_persistent_failures_typed() {
-        let dir = tmpdir("persistent");
+        let dir = TempDir::new("io-persistent");
         let path = dir.join("f.csv");
         let flaky = FlakyIo {
             fail_first: usize::MAX,
@@ -297,7 +292,6 @@ mod tests {
             3,
             "attempt budget spent"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! The `repro` binary (`cargo run -p mbu-bench --release --bin repro -- <id>`)
-//! drives the functions in this crate; the [`tinybench`]-based benches
+//! drives the functions in this crate; the `tinybench`-based benches
 //! (behind the `bench-harness` feature) reuse the same building blocks for
 //! performance measurements and ablations.
 //!
@@ -53,6 +53,8 @@ pub mod service;
 pub mod snapbench;
 pub mod store;
 pub mod supervisor;
+#[cfg(test)]
+mod test_support;
 #[cfg(feature = "bench-harness")]
 pub mod tinybench;
 

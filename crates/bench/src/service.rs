@@ -762,6 +762,7 @@ pub fn run_daemon(listen: &str, state_dir: &Path) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
 
     fn backend() -> SweepBackend {
         SweepBackend::new(Experiments::default(), FabricConfig::default())
@@ -899,8 +900,7 @@ mod tests {
 
     #[test]
     fn retention_gc_keeps_newest_terminal_jobs() {
-        let root = std::env::temp_dir().join(format!("mbu-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempDir::new("gc");
         // Three terminal jobs (outcome.json present) and one still
         // running; retention 1 keeps the newest terminal shards and the
         // running job untouched.
@@ -922,7 +922,6 @@ mod tests {
         assert!(root.join("live/shards").exists(), "non-terminal kept");
         // Idempotent: nothing left to reclaim.
         assert_eq!(gc_terminal_shards(&root, 1), 0);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -2,24 +2,46 @@
 //! (fig1–fig6) can be run once and the derived tables/figures (Tables IV–V,
 //! Figures 7–8) recomputed instantly.
 //!
+//! # One checksummed row log, two codecs
+//!
+//! Both checkpoint formats are the same *row log*: a version line, a CSV
+//! header, then one row per line, each row its body followed by the IEEE
+//! CRC-32 of the body text as 8 hex digits. The log is written once, in a
+//! private layer of this module, and owns everything the formats share:
+//!
+//! * **framing** — sealing a body with its CRC, and checking it on load;
+//! * **lossy loading** — a defective row becomes a [`QuarantinedRow`] and
+//!   the survivors load, reported in one [`LoadAudit`];
+//! * **appending** — the first append to an empty file writes the version
+//!   line, the header and the row in one synced call;
+//! * **recovery** — defective rows go to a `<file>.quarantine` sidecar,
+//!   then the file is rewritten clean, atomically.
+//!
+//! On top of it sit two codecs, each of which only renders and parses a
+//! row body:
+//!
+//! * [`ResultStore`] (`#mbu-results v2`) — one row per campaign, keyed,
+//!   last row wins. It also reads the pre-integrity v1 format (no version
+//!   line, 10 fields, no CRC), and rewrites such a file as v2 when it
+//!   recovers or appends to it.
+//! * [`ShardStore`] (`#mbu-shard v1`) — one row per completed work unit,
+//!   in append order, duplicates kept for the fabric merge to resolve.
+//!
 //! # Checkpointing
 //!
-//! The store doubles as a sweep checkpoint: [`ResultStore::append_row`]
-//! flushes one finished campaign to disk immediately, and
-//! [`ResultStore::from_csv`] applies rows in order with last-row-wins
-//! semantics, so a file produced by an interrupted sweep (possibly with a
-//! torn final line) reloads cleanly up to the last complete row and the
-//! sweep driver re-runs only the missing campaigns.
+//! The result store doubles as a sweep checkpoint:
+//! [`ResultStore::append_row`] flushes one finished campaign to disk
+//! immediately, and [`ResultStore::from_csv`] applies rows in order with
+//! last-row-wins semantics, so a file produced by an interrupted sweep
+//! (possibly with a torn final line) reloads cleanly up to the last
+//! complete row and the sweep driver re-runs only the missing campaigns.
 //!
-//! # Integrity (v2 format)
+//! # Integrity
 //!
 //! A fault injector that studies silent data corruption must not itself
-//! corrupt data silently. Version-2 checkpoint files carry:
+//! corrupt data silently. Besides the version line and the per-row CRC,
+//! result rows carry:
 //!
-//! * a version line (`#mbu-results v2`) so future format changes are
-//!   detected instead of misparsed;
-//! * a per-row IEEE CRC-32 over the row body, so torn writes and flipped
-//!   bits are caught on load;
 //! * the golden-run fingerprint of each row's campaign
 //!   ([`mbu_gefin::GoldenFingerprint`]), so results persisted by an older
 //!   simulator build or different core configuration are detected as stale
@@ -27,12 +49,9 @@
 //! * the achieved error margin of each campaign, so derived tables can
 //!   report statistical confidence per cell.
 //!
-//! [`ResultStore::recover`] is the crash-safe loading path: defective rows
-//! are moved to a `<file>.quarantine` sidecar with a typed reason and the
-//! survivors win; [`ResultStore::load`] is the strict path that refuses any
-//! defect. Files written before the integrity layer (no version line, 10
-//! fields, no CRC) still load through both paths via a migration shim —
-//! their rows simply carry no fingerprint or margin.
+//! [`ResultStore::recover`] is the crash-safe loading path; the strict
+//! [`ResultStore::load`] refuses any defect. Rows of a v1 file simply
+//! carry no fingerprint or margin.
 
 use crate::io::{RealIo, StoreIo};
 use mbu_cpu::HwComponent;
@@ -42,7 +61,7 @@ use mbu_gefin::integrity::{crc32, GoldenFingerprint};
 use mbu_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Key identifying one campaign.
@@ -122,23 +141,20 @@ pub const STORE_VERSION_LINE: &str = "#mbu-results v2";
 pub const CSV_HEADER: &str =
     "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions,margin,fingerprint,crc32";
 
-/// The pre-integrity (v1) header, recognised by the migration shim.
-pub const LEGACY_CSV_HEADER: &str =
-    "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions";
-
 /// Which on-disk format a file was parsed as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreVersion {
-    /// Current: version line, CRC-checksummed rows, fingerprint + margin.
+    /// Current: version line, CRC-checksummed rows. Every shard store
+    /// reads as this.
     V2,
-    /// Pre-integrity files: bare 10-field rows, no checksums.
+    /// Pre-integrity result files: bare 10-field rows, no checksums.
     Legacy,
 }
 
 /// Why a row was quarantined instead of loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowDefect {
-    /// The row does not parse as a result row.
+    /// The row does not parse as a row of its store.
     Syntax {
         /// What was wrong with it.
         message: String,
@@ -177,25 +193,15 @@ pub struct QuarantinedRow {
     pub defect: RowDefect,
 }
 
-/// What lossy loading found in a file.
+/// What lossy loading found in a file, for either store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadAudit {
     /// The format the file was parsed as.
     pub version: StoreVersion,
     /// Rows that loaded cleanly (before last-row-wins dedup).
     pub rows_loaded: usize,
-    /// Rows set aside as defective.
+    /// Rows set aside as defective, in file order.
     pub quarantined: Vec<QuarantinedRow>,
-}
-
-impl LoadAudit {
-    fn empty() -> Self {
-        Self {
-            version: StoreVersion::V2,
-            rows_loaded: 0,
-            quarantined: Vec::new(),
-        }
-    }
 }
 
 /// The `.quarantine` sidecar for a checkpoint file.
@@ -203,6 +209,193 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
     let mut s = path.as_os_str().to_owned();
     s.push(".quarantine");
     PathBuf::from(s)
+}
+
+/// A store kept as a checksummed row log: the two lines that open its
+/// files, and how its rows turn into bodies and back.
+trait RowCodec: Default {
+    /// The first line of every file of the format.
+    const VERSION_LINE: &'static str;
+    /// The CSV header on the second line.
+    const HEADER: &'static str;
+    /// Whether a file that opens with a plain header instead of a `#`
+    /// version line is the pre-integrity v1 format, read without CRCs.
+    const READS_V1: bool;
+
+    /// Parses one row — a CRC-checked body, or a whole v1 line — and adds
+    /// it to the store. `Err` is a human-readable defect message.
+    fn load_row(&mut self, text: &str, version: StoreVersion) -> Result<(), String>;
+
+    /// The body of every row, in file order.
+    fn bodies(&self) -> impl Iterator<Item = String> + '_;
+}
+
+/// The row log: framing, loading, appending and recovery, written once
+/// for both stores.
+mod row_log {
+    use super::*;
+
+    /// Seals a row body with its CRC-32: `<body>,<crc as 8 hex digits>`.
+    fn seal(body: &str) -> String {
+        format!("{body},{:08x}", crc32(body.as_bytes()))
+    }
+
+    /// Checks a sealed row's CRC and returns its body.
+    fn open(line: &str) -> Result<&str, RowDefect> {
+        let syntax = |message: String| RowDefect::Syntax { message };
+        let (body, crc_hex) = line
+            .rsplit_once(',')
+            .ok_or_else(|| syntax("row has no CRC field".into()))?;
+        if crc_hex.len() != 8 {
+            return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
+        }
+        let stored = u32::from_str_radix(crc_hex, 16)
+            .map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
+        let computed = crc32(body.as_bytes());
+        if stored != computed {
+            return Err(RowDefect::CrcMismatch { stored, computed });
+        }
+        Ok(body)
+    }
+
+    /// The whole file for `store`: version line, header, sealed rows.
+    pub(super) fn render<S: RowCodec>(store: &S) -> String {
+        let mut out = format!("{}\n{}\n", S::VERSION_LINE, S::HEADER);
+        for body in store.bodies() {
+            out.push_str(&seal(&body));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The format of `text`. An unknown version line means *no* line can
+    /// be trusted, so nothing is guessed.
+    fn version_of<S: RowCodec>(text: &str) -> Result<StoreVersion, StoreError> {
+        match text.lines().next() {
+            None => Ok(StoreVersion::V2),
+            Some(first) if first.trim() == S::VERSION_LINE => Ok(StoreVersion::V2),
+            Some(first) if S::READS_V1 && !first.trim_start().starts_with('#') => {
+                Ok(StoreVersion::Legacy)
+            }
+            Some(first) => Err(StoreError::UnsupportedVersion {
+                found: first.to_string(),
+            }),
+        }
+    }
+
+    /// Parses `text`, collecting defective rows instead of failing: each
+    /// becomes a [`QuarantinedRow`] and the survivors load.
+    pub(super) fn load_lossy<S: RowCodec>(text: &str) -> Result<(S, LoadAudit), StoreError> {
+        let version = version_of::<S>(text)?;
+        let mut store = S::default();
+        let mut audit = LoadAudit {
+            version,
+            rows_loaded: 0,
+            quarantined: Vec::new(),
+        };
+        // Line 1 is the version line (or, in v1, the header); line 2 of a
+        // v2 file is the header. Neither is a row.
+        let skip = match version {
+            StoreVersion::V2 => 2,
+            StoreVersion::Legacy => 1,
+        };
+        let syntax = |message: String| RowDefect::Syntax { message };
+        for (lineno, line) in text.lines().enumerate().skip(skip) {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let loaded = match version {
+                StoreVersion::V2 => {
+                    open(line).and_then(|body| store.load_row(body, version).map_err(syntax))
+                }
+                StoreVersion::Legacy => store.load_row(line, version).map_err(syntax),
+            };
+            match loaded {
+                Ok(()) => audit.rows_loaded += 1,
+                Err(defect) => audit.quarantined.push(QuarantinedRow {
+                    line: lineno + 1,
+                    raw: line.to_string(),
+                    defect,
+                }),
+            }
+        }
+        Ok((store, audit))
+    }
+
+    /// Parses `text` strictly: the first defective row is the error.
+    pub(super) fn load_strict<S: RowCodec>(text: &str) -> Result<S, StoreError> {
+        let (store, audit) = load_lossy::<S>(text)?;
+        match audit.quarantined.into_iter().next() {
+            None => Ok(store),
+            Some(QuarantinedRow { line, defect, .. }) => Err(match defect {
+                RowDefect::Syntax { message } => StoreError::Syntax { line, message },
+                RowDefect::CrcMismatch { stored, computed } => StoreError::CrcMismatch {
+                    line,
+                    stored,
+                    computed,
+                },
+            }),
+        }
+    }
+
+    /// Appends one row to the file at `path`, synced before returning.
+    /// The first row of an empty or missing file goes out in the same
+    /// append call as the version line and header: a single
+    /// crash-consistency unit, so no observable state has the header
+    /// without being a valid (row-less) file. A v1 file is first upgraded
+    /// in place (atomic rewrite), so a file never mixes formats.
+    pub(super) fn append<S: RowCodec>(
+        io: &dyn StoreIo,
+        path: &Path,
+        body: &str,
+    ) -> Result<(), StoreError> {
+        let row = seal(body);
+        if io.len(path)? == 0 {
+            io.append(
+                path,
+                &format!("{}\n{}\n{row}\n", S::VERSION_LINE, S::HEADER),
+            )?;
+            return Ok(());
+        }
+        if S::READS_V1 {
+            let text = io.read_to_string(path)?;
+            if version_of::<S>(&text)? == StoreVersion::Legacy {
+                io.write_atomic(path, &render(&load_strict::<S>(&text)?))?;
+            }
+        }
+        io.append(path, &format!("{row}\n"))?;
+        Ok(())
+    }
+
+    /// Crash-safe load of the file at `path`: defective rows are appended
+    /// to its `.quarantine` sidecar (one line each: line number, typed
+    /// reason, raw text) and the survivors returned. When anything was
+    /// quarantined, or the file was v1, the file is atomically rewritten
+    /// clean, so a defect is dealt with exactly once. A missing file reads
+    /// as an empty one.
+    pub(super) fn recover<S: RowCodec>(
+        io: &dyn StoreIo,
+        path: &Path,
+    ) -> Result<(S, LoadAudit), StoreError> {
+        let text = match io.read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let (store, audit) = load_lossy::<S>(&text)?;
+        if !audit.quarantined.is_empty() {
+            let sidecar: String = audit
+                .quarantined
+                .iter()
+                .map(|q| format!("line {}: {}: {}\n", q.line, q.defect, q.raw))
+                .collect();
+            io.append(&quarantine_path(path), &sidecar)?;
+        }
+        if !audit.quarantined.is_empty() || audit.version == StoreVersion::Legacy {
+            io.write_atomic(path, &render(&store))?;
+        }
+        Ok((store, audit))
+    }
 }
 
 /// The exhaustive-campaign annotation of a result row: how the row's
@@ -219,12 +412,19 @@ pub struct ExhaustiveMeta {
     pub weight: u64,
 }
 
+/// One stored campaign: its result, the golden-run fingerprint it was
+/// measured under and its exhaustive annotation, when it carries them.
+#[derive(Debug, Clone)]
+struct Entry {
+    result: CampaignResult,
+    fingerprint: Option<GoldenFingerprint>,
+    meta: Option<ExhaustiveMeta>,
+}
+
 /// An in-memory, CSV-backed store of campaign results.
 #[derive(Debug, Clone, Default)]
 pub struct ResultStore {
-    entries: BTreeMap<Key, CampaignResult>,
-    fingerprints: BTreeMap<Key, GoldenFingerprint>,
-    exhaustive_meta: BTreeMap<Key, ExhaustiveMeta>,
+    entries: BTreeMap<Key, Entry>,
 }
 
 impl ResultStore {
@@ -233,15 +433,31 @@ impl ResultStore {
         Self::default()
     }
 
+    /// Stores `result` with its stamps, replacing every trace of a previous
+    /// entry for its key.
+    fn put(
+        &mut self,
+        result: CampaignResult,
+        fingerprint: Option<GoldenFingerprint>,
+        meta: Option<ExhaustiveMeta>,
+    ) {
+        let key = (result.component, result.workload, result.faults);
+        self.entries.insert(
+            key,
+            Entry {
+                result,
+                fingerprint,
+                meta,
+            },
+        );
+    }
+
     /// Inserts a campaign result (replacing any previous entry for its
     /// key). Any stored fingerprint for the key is dropped — pair fresh
     /// results with their fingerprint via
     /// [`ResultStore::insert_with_fingerprint`].
     pub fn insert(&mut self, r: CampaignResult) {
-        let key = (r.component, r.workload, r.faults);
-        self.fingerprints.remove(&key);
-        self.exhaustive_meta.remove(&key);
-        self.entries.insert(key, r);
+        self.put(r, None, None);
     }
 
     /// Inserts a campaign result stamped with the golden-run fingerprint it
@@ -252,17 +468,7 @@ impl ResultStore {
         r: CampaignResult,
         fingerprint: Option<GoldenFingerprint>,
     ) {
-        let key = (r.component, r.workload, r.faults);
-        match fingerprint {
-            Some(fp) => {
-                self.fingerprints.insert(key, fp);
-            }
-            None => {
-                self.fingerprints.remove(&key);
-            }
-        }
-        self.exhaustive_meta.remove(&key);
-        self.entries.insert(key, r);
+        self.put(r, fingerprint, None);
     }
 
     /// Inserts an equivalence-class campaign result with its
@@ -273,9 +479,7 @@ impl ResultStore {
         meta: ExhaustiveMeta,
         fingerprint: Option<GoldenFingerprint>,
     ) {
-        let key = (r.component, r.workload, r.faults);
-        self.insert_with_fingerprint(r, fingerprint);
-        self.exhaustive_meta.insert(key, meta);
+        self.put(r, fingerprint, Some(meta));
     }
 
     /// The exhaustive annotation of a stored result, if it carries one.
@@ -285,9 +489,7 @@ impl ResultStore {
         workload: Workload,
         faults: usize,
     ) -> Option<ExhaustiveMeta> {
-        self.exhaustive_meta
-            .get(&(component, workload, faults))
-            .copied()
+        self.entries.get(&(component, workload, faults))?.meta
     }
 
     /// Looks up a campaign result.
@@ -297,7 +499,7 @@ impl ResultStore {
         workload: Workload,
         faults: usize,
     ) -> Option<&CampaignResult> {
-        self.entries.get(&(component, workload, faults))
+        Some(&self.entries.get(&(component, workload, faults))?.result)
     }
 
     /// The golden-run fingerprint a stored result was measured under, if it
@@ -308,9 +510,9 @@ impl ResultStore {
         workload: Workload,
         faults: usize,
     ) -> Option<GoldenFingerprint> {
-        self.fingerprints
-            .get(&(component, workload, faults))
-            .copied()
+        self.entries
+            .get(&(component, workload, faults))?
+            .fingerprint
     }
 
     /// Whether a campaign for this key is already present.
@@ -330,7 +532,7 @@ impl ResultStore {
 
     /// Iterates over all results.
     pub fn iter(&self) -> impl Iterator<Item = &CampaignResult> {
-        self.entries.values()
+        self.entries.values().map(|e| &e.result)
     }
 
     /// Whether all 6 × 15 × 3 campaigns are present.
@@ -338,14 +540,13 @@ impl ResultStore {
         self.entries.len() == 6 * 15 * 3
     }
 
-    /// Renders one result as a v2 CSV row (no trailing newline): 12 body
-    /// fields (14 with an exhaustive annotation) plus the CRC-32 of the
-    /// body text.
+    /// Renders one result as a v2 row body: 12 fields, 14 with an
+    /// exhaustive annotation.
     ///
     /// The margin is serialized with Rust's shortest-roundtrip float
     /// formatting, so a saved and reloaded store is *bit-identical* — the
     /// chaos harness depends on this.
-    fn csv_row(
+    fn row_body(
         r: &CampaignResult,
         fingerprint: Option<GoldenFingerprint>,
         meta: Option<ExhaustiveMeta>,
@@ -376,42 +577,15 @@ impl ResultStore {
         if let Some(meta) = meta {
             body.push_str(&format!(",{},{}", meta.classes, meta.weight));
         }
-        let crc = crc32(body.as_bytes());
-        format!("{body},{crc:08x}")
+        body
     }
 
-    /// Serializes to v2 CSV (version line, header, checksummed rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(STORE_VERSION_LINE);
-        out.push('\n');
-        out.push_str(CSV_HEADER);
-        out.push('\n');
-        for (key, r) in &self.entries {
-            out.push_str(&Self::csv_row(
-                r,
-                self.fingerprints.get(key).copied(),
-                self.exhaustive_meta.get(key).copied(),
-            ));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses one row body (v2: 12 fields, 14 with the exhaustive
-    /// annotation; legacy: 10 fields) into a result, optional fingerprint
-    /// and optional exhaustive meta. `Err` is a human-readable defect
-    /// message.
-    fn parse_body(
-        fields: &[&str],
-        legacy: bool,
-    ) -> Result<
-        (
-            CampaignResult,
-            Option<GoldenFingerprint>,
-            Option<ExhaustiveMeta>,
-        ),
-        String,
-    > {
+    /// Parses one row (v2 body: 12 fields, 14 with the exhaustive
+    /// annotation; legacy line: 10 fields). `Err` is a human-readable
+    /// defect message.
+    fn parse_row(text: &str, version: StoreVersion) -> Result<Entry, String> {
+        let fields: Vec<&str> = text.split(',').collect();
+        let legacy = version == StoreVersion::Legacy;
         if legacy && fields.len() != 10 {
             return Err(format!("expected 10 fields, got {}", fields.len()));
         }
@@ -495,52 +669,16 @@ impl ResultStore {
         } else {
             None
         };
-        Ok((result, fingerprint, meta))
+        Ok(Entry {
+            result,
+            fingerprint,
+            meta,
+        })
     }
 
-    /// Checks a v2 row's CRC and parses it.
-    #[allow(clippy::type_complexity)]
-    fn parse_v2_row(
-        line: &str,
-    ) -> Result<
-        (
-            CampaignResult,
-            Option<GoldenFingerprint>,
-            Option<ExhaustiveMeta>,
-        ),
-        RowDefect,
-    > {
-        let syntax = |message: String| RowDefect::Syntax { message };
-        let (body, crc_hex) = line
-            .rsplit_once(',')
-            .ok_or_else(|| syntax("row has no CRC field".into()))?;
-        if crc_hex.len() != 8 {
-            return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
-        }
-        let stored = u32::from_str_radix(crc_hex, 16)
-            .map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
-        let computed = crc32(body.as_bytes());
-        if stored != computed {
-            return Err(RowDefect::CrcMismatch { stored, computed });
-        }
-        let fields: Vec<&str> = body.split(',').collect();
-        Self::parse_body(&fields, false).map_err(syntax)
-    }
-
-    /// Detects the file's format version. `Err` carries the offending
-    /// version line.
-    fn detect_version(csv: &str) -> Result<StoreVersion, String> {
-        match csv.lines().next() {
-            None => Ok(StoreVersion::V2),
-            Some(first) if first.trim_start().starts_with('#') => {
-                if first.trim() == STORE_VERSION_LINE {
-                    Ok(StoreVersion::V2)
-                } else {
-                    Err(first.to_string())
-                }
-            }
-            Some(_) => Ok(StoreVersion::Legacy),
-        }
+    /// Serializes to v2 CSV (version line, header, checksummed rows).
+    pub fn to_csv(&self) -> String {
+        row_log::render(self)
     }
 
     /// Parses store CSV, collecting defective rows instead of failing: each
@@ -553,47 +691,7 @@ impl ResultStore {
     /// Only [`StoreError::UnsupportedVersion`] — an unknown format version
     /// means *no* line can be trusted, so nothing is guessed.
     pub fn from_csv_lossy(csv: &str) -> Result<(Self, LoadAudit), StoreError> {
-        let version =
-            Self::detect_version(csv).map_err(|found| StoreError::UnsupportedVersion { found })?;
-        let mut store = Self::new();
-        let mut audit = LoadAudit {
-            version,
-            rows_loaded: 0,
-            quarantined: Vec::new(),
-        };
-        // Line 1 is the version line (v2) or the header (legacy); line 2 of
-        // a v2 file is the header. Both are skipped, not parsed as rows.
-        let skip = match version {
-            StoreVersion::V2 => 2,
-            StoreVersion::Legacy => 1,
-        };
-        for (lineno, line) in csv.lines().enumerate().skip(skip) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = match version {
-                StoreVersion::V2 => Self::parse_v2_row(line),
-                StoreVersion::Legacy => {
-                    let fields: Vec<&str> = line.split(',').collect();
-                    Self::parse_body(&fields, true).map_err(|message| RowDefect::Syntax { message })
-                }
-            };
-            match parsed {
-                Ok((result, fingerprint, meta)) => {
-                    match meta {
-                        Some(meta) => store.insert_exhaustive(result, meta, fingerprint),
-                        None => store.insert_with_fingerprint(result, fingerprint),
-                    }
-                    audit.rows_loaded += 1;
-                }
-                Err(defect) => audit.quarantined.push(QuarantinedRow {
-                    line: lineno + 1,
-                    raw: line.to_string(),
-                    defect,
-                }),
-            }
-        }
-        Ok((store, audit))
+        row_log::load_lossy(csv)
     }
 
     /// Parses the CSV produced by [`ResultStore::to_csv`] /
@@ -609,21 +707,7 @@ impl ResultStore {
     /// [`StoreError::UnsupportedVersion`] on unknown formats; never panics,
     /// whatever the input.
     pub fn from_csv(csv: &str) -> Result<Self, StoreError> {
-        let (store, audit) = Self::from_csv_lossy(csv)?;
-        if let Some(q) = audit.quarantined.first() {
-            return Err(match &q.defect {
-                RowDefect::Syntax { message } => StoreError::Syntax {
-                    line: q.line,
-                    message: message.clone(),
-                },
-                RowDefect::CrcMismatch { stored, computed } => StoreError::CrcMismatch {
-                    line: q.line,
-                    stored: *stored,
-                    computed: *computed,
-                },
-            });
-        }
-        Ok(store)
+        row_log::load_strict(csv)
     }
 
     /// Saves the whole store to a file atomically (temp file + rename),
@@ -692,26 +776,7 @@ impl ResultStore {
         fingerprint: Option<GoldenFingerprint>,
         meta: Option<ExhaustiveMeta>,
     ) -> Result<(), StoreError> {
-        let row = Self::csv_row(r, fingerprint, meta);
-        if io.len(path)? == 0 {
-            // One append call for version + header + row: a single
-            // crash-consistency unit, so no observable state has the header
-            // without being a valid (empty-row-set) v2 file.
-            io.append(
-                path,
-                &format!("{STORE_VERSION_LINE}\n{CSV_HEADER}\n{row}\n"),
-            )?;
-            return Ok(());
-        }
-        let text = io.read_to_string(path)?;
-        if Self::detect_version(&text).map_err(|found| StoreError::UnsupportedVersion { found })?
-            == StoreVersion::Legacy
-        {
-            let store = Self::from_csv(&text)?;
-            io.write_atomic(path, &store.to_csv())?;
-        }
-        io.append(path, &format!("{row}\n"))?;
-        Ok(())
+        row_log::append::<Self>(io, path, &Self::row_body(r, fingerprint, meta))
     }
 
     /// Loads from a file, strictly: any defective row is an error.
@@ -728,8 +793,8 @@ impl ResultStore {
     /// sidecar (one line each: line number, typed reason, raw text) and the
     /// survivors returned. When anything was quarantined — or the file was
     /// in the legacy format — the main file is atomically rewritten as
-    /// clean v2, so the defect is dealt with exactly once. A missing file
-    /// yields an empty store.
+    /// clean v2 (deduplicated, sorted by key), so the defect is dealt with
+    /// exactly once. A missing file yields an empty store.
     ///
     /// # Errors
     ///
@@ -744,25 +809,29 @@ impl ResultStore {
     ///
     /// Propagates I/O errors and [`StoreError::UnsupportedVersion`].
     pub fn recover_with(io: &dyn StoreIo, path: &Path) -> Result<(Self, LoadAudit), StoreError> {
-        let text = match io.read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::new(), LoadAudit::empty()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (store, audit) = Self::from_csv_lossy(&text)?;
-        if !audit.quarantined.is_empty() {
-            let mut sidecar = String::new();
-            for q in &audit.quarantined {
-                sidecar.push_str(&format!("line {}: {}: {}\n", q.line, q.defect, q.raw));
-            }
-            io.append(&quarantine_path(path), &sidecar)?;
-        }
-        if !audit.quarantined.is_empty() || audit.version == StoreVersion::Legacy {
-            store.save_with(io, path)?;
-        }
-        Ok((store, audit))
+        row_log::recover(io, path)
+    }
+}
+
+impl RowCodec for ResultStore {
+    const VERSION_LINE: &'static str = STORE_VERSION_LINE;
+    const HEADER: &'static str = CSV_HEADER;
+    const READS_V1: bool = true;
+
+    fn load_row(&mut self, text: &str, version: StoreVersion) -> Result<(), String> {
+        let Entry {
+            result,
+            fingerprint,
+            meta,
+        } = Self::parse_row(text, version)?;
+        self.put(result, fingerprint, meta);
+        Ok(())
+    }
+
+    fn bodies(&self) -> impl Iterator<Item = String> + '_ {
+        self.entries
+            .values()
+            .map(|e| Self::row_body(&e.result, e.fingerprint, e.meta))
     }
 }
 
@@ -842,38 +911,6 @@ pub struct ShardRow {
     pub exhaustive: Option<ShardExhaustive>,
 }
 
-impl ShardRow {
-    /// The dedup key the merge uses: identical (unit, range, seed) rows
-    /// are the same work executed more than once.
-    pub fn dedup_key(&self) -> (Key, usize, usize, u64) {
-        (
-            (self.unit.component, self.unit.workload, self.unit.faults),
-            self.unit.start,
-            self.unit.end,
-            self.seed,
-        )
-    }
-}
-
-/// What a lossy shard-store load found.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardLoadAudit {
-    /// Intact rows loaded.
-    pub rows_loaded: usize,
-    /// Defective rows, in file order.
-    pub quarantined: Vec<QuarantinedRow>,
-}
-
-impl ShardLoadAudit {
-    /// The audit of an empty / missing file.
-    pub fn empty() -> Self {
-        Self {
-            rows_loaded: 0,
-            quarantined: Vec::new(),
-        }
-    }
-}
-
 /// Append-ordered store of [`ShardRow`]s — one worker's durable record of
 /// every unit it completed. Unlike [`ResultStore`] it is *not* keyed:
 /// duplicate and overlapping ranges are legal on disk (retry and
@@ -910,10 +947,9 @@ impl ShardStore {
         &self.rows
     }
 
-    /// Renders one row as CSV (no trailing newline): 14 body fields (21
-    /// for exhaustive-flavor rows, 23 for stratified ones) plus the CRC-32
-    /// of the body text.
-    fn csv_row(r: &ShardRow) -> String {
+    /// Renders one row body: 14 fields, 21 for exhaustive-flavor rows, 23
+    /// for stratified ones.
+    fn row_body(r: &ShardRow) -> String {
         let mut body = format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             component_slug(r.unit.component),
@@ -946,64 +982,34 @@ impl ShardStore {
                 body.push_str(&format!(",{},{}", s.margin_bits, s.simulated));
             }
         }
-        let crc = crc32(body.as_bytes());
-        format!("{body},{crc:08x}")
+        body
     }
 
-    /// Serializes to shard CSV (version line, header, checksummed rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(SHARD_VERSION_LINE);
-        out.push('\n');
-        out.push_str(SHARD_CSV_HEADER);
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&Self::csv_row(r));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Checks a row's CRC and parses it.
-    fn parse_row(line: &str) -> Result<ShardRow, RowDefect> {
-        let syntax = |message: String| RowDefect::Syntax { message };
-        let (body, crc_hex) = line
-            .rsplit_once(',')
-            .ok_or_else(|| syntax("row has no CRC field".into()))?;
-        if crc_hex.len() != 8 {
-            return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
-        }
-        let stored = u32::from_str_radix(crc_hex, 16)
-            .map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
-        let computed = crc32(body.as_bytes());
-        if stored != computed {
-            return Err(RowDefect::CrcMismatch { stored, computed });
-        }
+    /// Parses one row body. `Err` is a human-readable defect message.
+    fn parse_row(body: &str) -> Result<ShardRow, String> {
         let fields: Vec<&str> = body.split(',').collect();
         if fields.len() != 14 && fields.len() != 21 && fields.len() != 23 {
-            return Err(syntax(format!(
+            return Err(format!(
                 "expected 14 (sampled), 21 (exhaustive) or 23 (stratified) fields, got {}",
                 fields.len()
-            )));
+            ));
         }
-        let parse = |s: &str| -> Result<u64, RowDefect> {
-            s.parse().map_err(|e| syntax(format!("{e} (field {s:?})")))
+        let parse = |s: &str| -> Result<u64, String> {
+            s.parse().map_err(|e| format!("{e} (field {s:?})"))
         };
         let fp = fields[13];
         if fp.len() != 16 {
-            return Err(syntax(format!("fingerprint {fp:?} is not 16 hex digits")));
+            return Err(format!("fingerprint {fp:?} is not 16 hex digits"));
         }
         let unit = UnitSpec {
-            component: fields[0].parse().map_err(|e| syntax(format!("{e}")))?,
-            workload: fields[1].parse().map_err(|e| syntax(format!("{e}")))?,
+            component: fields[0].parse().map_err(|e| format!("{e}"))?,
+            workload: fields[1].parse().map_err(|e| format!("{e}"))?,
             faults: parse(fields[2])? as usize,
             start: parse(fields[3])? as usize,
             end: parse(fields[4])? as usize,
         };
         if unit.is_empty() {
-            return Err(syntax(format!(
-                "empty run-range [{}..{})",
-                unit.start, unit.end
-            )));
+            return Err(format!("empty run-range [{}..{})", unit.start, unit.end));
         }
         let counts = ClassCounts {
             masked: parse(fields[6])?,
@@ -1013,11 +1019,11 @@ impl ShardStore {
             assert_: parse(fields[10])?,
         };
         if counts.total() != unit.len() as u64 {
-            return Err(syntax(format!(
+            return Err(format!(
                 "counts sum to {} but the range holds {} runs",
                 counts.total(),
                 unit.len()
-            )));
+            ));
         }
         let exhaustive = if fields.len() >= 21 {
             let stratified = if fields.len() == 23 {
@@ -1027,17 +1033,17 @@ impl ShardStore {
                 };
                 let margin = s.margin();
                 if !margin.is_finite() || !(0.0..=1.0).contains(&margin) {
-                    return Err(syntax(format!(
+                    return Err(format!(
                         "stratified margin bits {:#x} decode to {margin}, not a fraction",
                         s.margin_bits
-                    )));
+                    ));
                 }
                 // A stratified row is whole-campaign by construction.
                 if (unit.start, unit.end) != (0, 1) {
-                    return Err(syntax(format!(
+                    return Err(format!(
                         "stratified rows cover the whole campaign, not [{}..{})",
                         unit.start, unit.end
-                    )));
+                    ));
                 }
                 Some(s)
             } else {
@@ -1061,19 +1067,19 @@ impl ShardStore {
             // so only the population bound applies (its live mass may even
             // be zero when every class is provably dead).
             if stratified.is_none() && ex.weighted.total() < unit.len() as u64 {
-                return Err(syntax(format!(
+                return Err(format!(
                     "weighted counts sum to {} but the range holds {} classes",
                     ex.weighted.total(),
                     unit.len()
-                )));
+                ));
             }
             if ex.weighted.total().saturating_add(ex.pruned) > ex.weight_total {
-                return Err(syntax(format!(
+                return Err(format!(
                     "weighted mass {} + pruned {} exceeds the population {}",
                     ex.weighted.total(),
                     ex.pruned,
                     ex.weight_total
-                )));
+                ));
             }
             Some(ex)
         } else {
@@ -1087,9 +1093,14 @@ impl ShardStore {
             fault_free_instructions: parse(fields[12])?,
             fingerprint: fp
                 .parse()
-                .map_err(|e| syntax(format!("{e} (fingerprint {fp:?})")))?,
+                .map_err(|e| format!("{e} (fingerprint {fp:?})"))?,
             exhaustive,
         })
+    }
+
+    /// Serializes to shard CSV (version line, header, checksummed rows).
+    pub fn to_csv(&self) -> String {
+        row_log::render(self)
     }
 
     /// Parses shard CSV, quarantining defective rows instead of failing —
@@ -1101,36 +1112,8 @@ impl ShardStore {
     /// Only [`StoreError::UnsupportedVersion`]: a file that does not open
     /// with the shard version line is not a shard store, and none of its
     /// lines can be trusted as rows.
-    pub fn from_csv_lossy(csv: &str) -> Result<(Self, ShardLoadAudit), StoreError> {
-        match csv.lines().next() {
-            None => return Ok((Self::new(), ShardLoadAudit::empty())),
-            Some(first) if first.trim() == SHARD_VERSION_LINE => {}
-            Some(first) => {
-                return Err(StoreError::UnsupportedVersion {
-                    found: first.to_string(),
-                })
-            }
-        }
-        let mut store = Self::new();
-        let mut audit = ShardLoadAudit::empty();
-        // Line 1 is the version line, line 2 the header.
-        for (lineno, line) in csv.lines().enumerate().skip(2) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Self::parse_row(line) {
-                Ok(row) => {
-                    store.push(row);
-                    audit.rows_loaded += 1;
-                }
-                Err(defect) => audit.quarantined.push(QuarantinedRow {
-                    line: lineno + 1,
-                    raw: line.to_string(),
-                    defect,
-                }),
-            }
-        }
-        Ok((store, audit))
+    pub fn from_csv_lossy(csv: &str) -> Result<(Self, LoadAudit), StoreError> {
+        row_log::load_lossy(csv)
     }
 
     /// Appends one completed unit to the shard file (creating it, with
@@ -1146,47 +1129,34 @@ impl ShardStore {
         path: &Path,
         row: &ShardRow,
     ) -> Result<(), StoreError> {
-        let line = Self::csv_row(row);
-        if io.len(path)? == 0 {
-            io.append(
-                path,
-                &format!("{SHARD_VERSION_LINE}\n{SHARD_CSV_HEADER}\n{line}\n"),
-            )?;
-            return Ok(());
-        }
-        io.append(path, &format!("{line}\n"))?;
-        Ok(())
+        row_log::append::<Self>(io, path, &Self::row_body(row))
     }
 
     /// Crash-safe load: defective rows are moved to a `<file>.quarantine`
     /// sidecar and the survivors returned; when anything was quarantined
-    /// the file is atomically rewritten clean. A missing file yields an
-    /// empty store.
+    /// the file is atomically rewritten clean, every surviving row kept in
+    /// append order. A missing file yields an empty store.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors and [`StoreError::UnsupportedVersion`].
-    pub fn recover_with(
-        io: &dyn StoreIo,
-        path: &Path,
-    ) -> Result<(Self, ShardLoadAudit), StoreError> {
-        let text = match io.read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::new(), ShardLoadAudit::empty()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (store, audit) = Self::from_csv_lossy(&text)?;
-        if !audit.quarantined.is_empty() {
-            let mut sidecar = String::new();
-            for q in &audit.quarantined {
-                sidecar.push_str(&format!("line {}: {}: {}\n", q.line, q.defect, q.raw));
-            }
-            io.append(&quarantine_path(path), &sidecar)?;
-            io.write_atomic(path, &store.to_csv())?;
-        }
-        Ok((store, audit))
+    pub fn recover_with(io: &dyn StoreIo, path: &Path) -> Result<(Self, LoadAudit), StoreError> {
+        row_log::recover(io, path)
+    }
+}
+
+impl RowCodec for ShardStore {
+    const VERSION_LINE: &'static str = SHARD_VERSION_LINE;
+    const HEADER: &'static str = SHARD_CSV_HEADER;
+    const READS_V1: bool = false;
+
+    fn load_row(&mut self, body: &str, _version: StoreVersion) -> Result<(), String> {
+        self.rows.push(Self::parse_row(body)?);
+        Ok(())
+    }
+
+    fn bodies(&self) -> impl Iterator<Item = String> + '_ {
+        self.rows.iter().map(Self::row_body)
     }
 }
 
@@ -1310,23 +1280,19 @@ impl AnalyticalStore {
     }
 
     /// Appends one finished capture to the checkpoint file (creating it,
-    /// with header, if absent).
+    /// with header, if absent), synced to stable storage before returning.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn append_row(path: &Path, r: &AnalyticalRow) -> Result<(), StoreError> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        if file.metadata()?.len() == 0 {
-            writeln!(file, "{ANALYTICAL_CSV_HEADER}")?;
-        }
-        writeln!(file, "{}", Self::csv_row(r))?;
+        let row = Self::csv_row(r);
+        let text = if RealIo.len(path)? == 0 {
+            format!("{ANALYTICAL_CSV_HEADER}\n{row}\n")
+        } else {
+            format!("{row}\n")
+        };
+        RealIo.append(path, &text)?;
         Ok(())
     }
 
@@ -1356,6 +1322,11 @@ pub fn component_slug(c: HwComponent) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
+
+    /// The header of a pre-integrity (v1) results file.
+    const V1_HEADER: &str =
+        "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions";
 
     fn sample(component: HwComponent, workload: Workload, faults: usize) -> CampaignResult {
         CampaignResult {
@@ -1450,9 +1421,8 @@ mod tests {
         assert_eq!(s.exhaustive_meta(HwComponent::DTlb, Workload::Sha, 1), None);
 
         // The incremental checkpoint path writes and reloads the flavor.
-        let dir = std::env::temp_dir().join(format!("mbu-store-flavor-{}", std::process::id()));
+        let dir = TempDir::new("store-flavor");
         let path = dir.join("exhaustive.csv");
-        let _ = std::fs::remove_file(&path);
         ResultStore::append_flavored_row_with(
             &RealIo,
             &path,
@@ -1466,7 +1436,6 @@ mod tests {
             loaded.exhaustive_meta(HwComponent::ITlb, Workload::Qsort, 1),
             Some(meta)
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Rows whose class/weight columns don't reconcile with the counts are
@@ -1568,7 +1537,7 @@ mod tests {
 
     #[test]
     fn legacy_v1_files_load_without_integrity_columns() {
-        let legacy = format!("{LEGACY_CSV_HEADER}\nl1d,sha,1,90,5,3,1,1,12345,6789\n");
+        let legacy = format!("{V1_HEADER}\nl1d,sha,1,90,5,3,1,1,12345,6789\n");
         let (store, audit) = ResultStore::from_csv_lossy(&legacy).unwrap();
         assert_eq!(audit.version, StoreVersion::Legacy);
         assert_eq!(store.len(), 1);
@@ -1637,9 +1606,8 @@ mod tests {
 
     #[test]
     fn append_row_checkpoints_incrementally() {
-        let dir = std::env::temp_dir().join(format!("mbu-store-test-{}", std::process::id()));
+        let dir = TempDir::new("store-append");
         let path = dir.join("checkpoint.csv");
-        let _ = std::fs::remove_file(&path);
         let a = sample(HwComponent::L1D, Workload::Sha, 1);
         let b = sample(HwComponent::RegFile, Workload::Fft, 2);
         ResultStore::append_row(&path, &a).unwrap();
@@ -1659,17 +1627,15 @@ mod tests {
             42
         );
         assert!(loaded.contains(HwComponent::RegFile, Workload::Fft, 2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn append_upgrades_legacy_checkpoint_in_place() {
-        let dir = std::env::temp_dir().join(format!("mbu-store-upgrade-{}", std::process::id()));
+        let dir = TempDir::new("store-upgrade");
         let path = dir.join("checkpoint.csv");
-        std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             &path,
-            format!("{LEGACY_CSV_HEADER}\nl1d,sha,1,90,5,3,1,1,12345,6789\n"),
+            format!("{V1_HEADER}\nl1d,sha,1,90,5,3,1,1,12345,6789\n"),
         )
         .unwrap();
         let b = sample(HwComponent::RegFile, Workload::Fft, 2);
@@ -1686,14 +1652,12 @@ mod tests {
             loaded.fingerprint(HwComponent::RegFile, Workload::Fft, 2),
             Some(GoldenFingerprint(7))
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_quarantines_bad_rows_and_rewrites_clean_file() {
-        let dir = std::env::temp_dir().join(format!("mbu-store-recover-{}", std::process::id()));
+        let dir = TempDir::new("store-recover");
         let path = dir.join("checkpoint.csv");
-        std::fs::create_dir_all(&dir).unwrap();
         let mut s = ResultStore::new();
         s.insert(sample(HwComponent::L1D, Workload::Sha, 1));
         s.insert(sample(HwComponent::L2, Workload::Fft, 2));
@@ -1712,15 +1676,12 @@ mod tests {
         assert_eq!(ResultStore::load(&path).unwrap().len(), 2);
         let (_, audit2) = ResultStore::recover(&path).unwrap();
         assert!(audit2.quarantined.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_missing_file_is_empty_store() {
-        let path = std::env::temp_dir().join(format!(
-            "mbu-store-missing-{}/never-written.csv",
-            std::process::id()
-        ));
+        let dir = TempDir::new("store-missing");
+        let path = dir.join("never-written.csv");
         let (store, audit) = ResultStore::recover(&path).unwrap();
         assert!(store.is_empty());
         assert!(audit.quarantined.is_empty());
@@ -1728,13 +1689,13 @@ mod tests {
 
     #[test]
     fn save_is_atomic_leaving_no_temp_file() {
-        let dir = std::env::temp_dir().join(format!("mbu-store-atomic-{}", std::process::id()));
+        let dir = TempDir::new("store-atomic");
         let path = dir.join("out.csv");
         let mut s = ResultStore::new();
         s.insert(sample(HwComponent::L1D, Workload::Sha, 1));
         s.save(&path).unwrap();
         assert_eq!(ResultStore::load(&path).unwrap().len(), 1);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(&*dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().ends_with(".tmp"))
@@ -1743,7 +1704,6 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1778,9 +1738,8 @@ mod tests {
             "missing field"
         );
         // Incremental checkpoint with last-row-wins reload.
-        let dir = std::env::temp_dir().join(format!("mbu-astore-test-{}", std::process::id()));
+        let dir = TempDir::new("astore");
         let path = dir.join("analytical.csv");
-        let _ = std::fs::remove_file(&path);
         let row = AnalyticalRow {
             component: HwComponent::L2,
             workload: Workload::Fft,
@@ -1800,7 +1759,48 @@ mod tests {
                 .analytical_avf,
             0.002
         );
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard file keeps every surviving row in append order, repeats
+    /// included, when recovery rewrites it; only the defective row goes.
+    #[test]
+    fn shard_recover_quarantines_and_keeps_append_order() {
+        let dir = TempDir::new("shard-recover");
+        let path = dir.join("worker-000.csv");
+        let row = |start: usize, end: usize| ShardRow {
+            unit: UnitSpec {
+                component: HwComponent::DTlb,
+                workload: Workload::Sha,
+                faults: 1,
+                start,
+                end,
+            },
+            seed: 7,
+            counts: ClassCounts {
+                masked: (end - start) as u64,
+                ..ClassCounts::new()
+            },
+            fault_free_cycles: 100,
+            fault_free_instructions: 50,
+            fingerprint: GoldenFingerprint(42),
+            exhaustive: None,
+        };
+        let rows = [row(10, 20), row(0, 10), row(10, 20)];
+        for r in &rows {
+            ShardStore::append_row_with(&RealIo, &path, r).unwrap();
+        }
+        let mut expected = ShardStore::new();
+        for r in rows {
+            expected.push(r);
+        }
+        assert_eq!(RealIo.read_to_string(&path).unwrap(), expected.to_csv());
+        RealIo.append(&path, "torn,row\n").unwrap();
+        let (store, audit) = ShardStore::recover_with(&RealIo, &path).unwrap();
+        assert_eq!(store, expected);
+        assert_eq!((audit.rows_loaded, audit.quarantined.len()), (3, 1));
+        let sidecar = std::fs::read_to_string(quarantine_path(&path)).unwrap();
+        assert!(sidecar.starts_with("line 6: syntax: "), "{sidecar}");
+        assert_eq!(RealIo.read_to_string(&path).unwrap(), expected.to_csv());
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl fmt::Display for AnomalyKind {
 /// One distributed-sweep work unit: a contiguous run-range
 /// `[start, end)` of a single (component, workload, cardinality) campaign.
 ///
-/// Run outcomes are deterministic per run index ([`derive_run_seed`]), so a
+/// Run outcomes are deterministic per run index (`derive_run_seed`), so a
 /// campaign's class counts are the sum of the counts of any disjoint
 /// run-range cover — the shard planner exploits this to split campaigns
 /// across worker processes, and the supervisor to split straggler tails for

@@ -338,7 +338,7 @@ impl ExhaustivePlan {
 
     /// Simulates the live classes `range` (positions in the dense live
     /// order), one representative each, in parallel, scheduled in
-    /// snapshot-locality order (see [`ExhaustivePlan::locality_order`]).
+    /// snapshot-locality order (see `ExhaustivePlan::locality_order`).
     /// Outcomes come back sorted by class id and are bit-identical for any
     /// thread count, representative seed, and snapshots on or off — the
     /// shard primitive behind distributed exhaustive sweeps. The

@@ -306,7 +306,7 @@ impl Simulator {
     /// normally; once it passes, [`Simulator::run_until_cycle`] returns at
     /// the next poll point with the run still unfinished, which callers
     /// classify as a timeout, and [`Simulator::deadline_hit`] turns `true`.
-    /// The clock is read once every [`CANCEL_POLL_INTERVAL`] cycles, so a
+    /// The clock is read once every `CANCEL_POLL_INTERVAL` cycles, so a
     /// run overshoots its deadline by at most that many steps.
     pub fn set_deadline(&mut self, deadline: Instant) {
         self.deadline = Some(deadline);
@@ -992,7 +992,7 @@ impl Simulator {
     ///
     /// Two safety rails bound the loop beyond the plain cycle budget:
     ///
-    /// * a **stall fuse** — [`STALL_FUSE`] consecutive cycles without a
+    /// * a **stall fuse** — `STALL_FUSE` consecutive cycles without a
     ///   commit end the run as [`RunEnd::CycleLimit`] (a wedged pipeline is a
     ///   livelock; burning the remaining budget would only waste wall-clock);
     /// * a **deadline poll** — once a deadline installed via
@@ -1010,7 +1010,7 @@ impl Simulator {
     /// fuse *continuous* across the segments. A sequence of calls with the
     /// same `stalled` counter behaves exactly like one uninterrupted
     /// [`Simulator::run_until_cycle`] call over the combined range — the
-    /// fuse trips after [`STALL_FUSE`] consecutive commit-less cycles
+    /// fuse trips after `STALL_FUSE` consecutive commit-less cycles
     /// regardless of how the range was segmented, which is what keeps
     /// fast-forwarded injection runs classification-identical to full runs.
     pub fn run_until_cycle_resumable(&mut self, cycle: u64, stalled: &mut u64) -> Option<RunEnd> {

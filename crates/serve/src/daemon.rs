@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use crate::http;
     use crate::jobs::{Artifact, JobBackend, JobContext, JobOutcome, Submission};
-    use std::path::PathBuf;
+    use crate::test_support::TempDir;
 
     struct EchoBackend;
 
@@ -311,15 +311,8 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mbu-daemon-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn boot(tag: &str) -> (String, PathBuf, Arc<JobManager>) {
-        let dir = tmpdir(tag);
+    fn boot(tag: &str) -> (String, TempDir, Arc<JobManager>) {
+        let dir = TempDir::new(&format!("daemon-{tag}"));
         let manager = JobManager::new(&dir, Arc::new(EchoBackend), 2, 4).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -332,7 +325,7 @@ mod tests {
 
     #[test]
     fn routes_health_submit_status_and_artifacts() {
-        let (addr, dir, _mgr) = boot("routes");
+        let (addr, _dir, _mgr) = boot("routes");
         let (status, body) = http::request(&addr, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
         let health = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
@@ -382,12 +375,11 @@ mod tests {
         let joined = lines.concat();
         assert!(joined.contains("\"kind\":\"tick\""), "stream: {joined}");
         assert!(joined.contains("\"kind\":\"state\""), "stream: {joined}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn structured_errors_not_connection_drops() {
-        let (addr, dir, _mgr) = boot("errors");
+        let (addr, _dir, _mgr) = boot("errors");
         let cases = [
             ("GET", "/nope", None, 404),
             ("DELETE", "/sweeps", None, 405),
@@ -406,13 +398,12 @@ mod tests {
                 "{method} {path} body not structured"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn drain_refuses_submissions_with_retry_after() {
         use std::io::{Read, Write};
-        let (addr, dir, mgr) = boot("drain503");
+        let (addr, _dir, mgr) = boot("drain503");
         mgr.begin_drain();
         // Raw socket so the Retry-After header is visible.
         let mut sock = TcpStream::connect(&addr).unwrap();
@@ -434,12 +425,11 @@ mod tests {
         assert_eq!(status, 200);
         let health = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(health.get("draining").and_then(Json::as_bool), Some(true));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn connection_cap_sheds_load_with_503() {
-        let dir = tmpdir("cap");
+        let dir = TempDir::new("daemon-cap");
         let manager = JobManager::new(&dir, Arc::new(EchoBackend), 2, 4).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -457,13 +447,12 @@ mod tests {
         assert_eq!(status, 503);
         let v = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert!(v.get("error").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn slow_loris_gets_typed_408() {
         use std::io::{Read, Write};
-        let dir = tmpdir("loris");
+        let dir = TempDir::new("daemon-loris");
         let manager = JobManager::new(&dir, Arc::new(EchoBackend), 2, 4).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -484,6 +473,5 @@ mod tests {
         let mut reply = String::new();
         let _ = sock.read_to_string(&mut reply);
         assert!(reply.starts_with("HTTP/1.1 408 Request Timeout"), "{reply}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

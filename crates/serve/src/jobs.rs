@@ -16,6 +16,7 @@
 
 use mbu_gefin::json::Json;
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -376,9 +377,13 @@ fn push_event(job: &mut JobRecord, kind: &str, data: Json) {
     }
 }
 
+/// Replaces `path` with `bytes`: the temp file is synced before the rename
+/// makes it visible, so a crash leaves the old file or the whole new one.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
     std::fs::rename(&tmp, path)
 }
 
@@ -801,7 +806,7 @@ impl JobManager {
     /// Events with `seq > after`, blocking up to `timeout` for new ones.
     /// Returns `(events, terminal)`; an empty batch with `terminal ==
     /// true` means the stream is finished. A terminal job's events are
-    /// replayed from its [`EVENTS_FILE`], read outside the jobs lock.
+    /// replayed from its `events.ndjson`, read outside the jobs lock.
     ///
     /// # Errors
     ///
@@ -882,6 +887,7 @@ impl JobManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
 
     /// A backend that echoes its spec and waits for cancellation when the
     /// spec says `{"hang": true}`.
@@ -933,13 +939,6 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mbu-jobs-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     fn wait_terminal(mgr: &Arc<JobManager>, id: &str) -> Json {
         for _ in 0..500 {
             let s = mgr.status(id).unwrap();
@@ -953,7 +952,7 @@ mod tests {
 
     #[test]
     fn submit_execute_and_fetch_artifact() {
-        let dir = tmpdir("basic");
+        let dir = TempDir::new("jobs-basic");
         let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 2, 4).unwrap();
         let body = Json::Obj(vec![("x".into(), Json::u64(7))]);
         let id = mgr.submit(&body).unwrap();
@@ -966,12 +965,11 @@ mod tests {
         assert!(terminal);
         let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, vec!["submitted", "state", "working", "state"]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn terminal_event_log_moves_to_disk_and_replays_after_restart() {
-        let dir = tmpdir("replay");
+        let dir = TempDir::new("jobs-replay");
         let seqs_and_kinds = |events: &[Event]| -> Vec<(u64, String)> {
             events.iter().map(|e| (e.seq, e.kind.clone())).collect()
         };
@@ -1012,12 +1010,11 @@ mod tests {
         assert_eq!(seqs_and_kinds(&events), history);
         let status = mgr.status(&id).unwrap();
         assert_eq!(status.get("events").and_then(Json::as_u64), Some(4));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn validation_queue_and_cancel_errors() {
-        let dir = tmpdir("errors");
+        let dir = TempDir::new("jobs-errors");
         let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 1, 1).unwrap();
         let bad = mgr.submit(&Json::Obj(vec![("bad".into(), Json::Null)]));
         assert_eq!(bad.unwrap_err().status, 400);
@@ -1044,24 +1041,22 @@ mod tests {
             Some("cancelled")
         );
         assert_eq!(mgr.cancel(&running).unwrap_err().status, 409);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn panicking_job_fails_cleanly() {
-        let dir = tmpdir("panic");
+        let dir = TempDir::new("jobs-panic");
         let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 1, 4).unwrap();
         let id = mgr
             .submit(&Json::Obj(vec![("panic".into(), Json::Bool(true))]))
             .unwrap();
         let status = wait_terminal(&mgr, &id);
         assert_eq!(status.get("state").unwrap().as_str(), Some("failed"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn drain_parks_running_jobs_and_refuses_new_work() {
-        let dir = tmpdir("drain");
+        let dir = TempDir::new("jobs-drain");
         let hang = Json::Obj(vec![("hang".into(), Json::Bool(true))]);
         let (running, queued);
         {
@@ -1108,12 +1103,11 @@ mod tests {
                 Some("cancelled")
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restart_adopts_finished_and_requeues_interrupted_jobs() {
-        let dir = tmpdir("restart");
+        let dir = TempDir::new("jobs-restart");
         let finished_id;
         {
             let mgr = JobManager::new(&dir, Arc::new(EchoBackend), 2, 4).unwrap();
@@ -1144,6 +1138,5 @@ mod tests {
         // …and new ids continue after the adopted ones.
         let next = mgr.submit(&Json::Obj(vec![])).unwrap();
         assert_eq!(next, "j0003");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

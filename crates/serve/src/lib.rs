@@ -28,6 +28,8 @@ pub mod http;
 pub mod jobs;
 #[allow(unsafe_code)]
 pub mod signal;
+#[cfg(test)]
+mod test_support;
 
 pub use daemon::{serve, serve_with, HealthFn, ServeOptions};
 pub use http::{Request, Response};
