@@ -545,29 +545,19 @@ impl Experiments {
     }
 
     /// Runs one campaign without panicking on configuration/golden-run
-    /// failures.
+    /// failures. With shared golden `artifacts` the campaign skips its
+    /// private golden (and snapshot-recording) run and classifies against
+    /// the pre-built reference instead — bit-identical either way, since
+    /// the simulator is deterministic.
     pub fn try_campaign(
         &self,
         component: HwComponent,
         workload: Workload,
         faults: usize,
-    ) -> Result<CampaignResult, CampaignError> {
-        Campaign::try_new(self.campaign_config(component, workload, faults))?.try_run()
-    }
-
-    /// [`Experiments::try_campaign`] with shared golden artifacts: the
-    /// campaign skips its private golden (and snapshot-recording) run and
-    /// classifies against the pre-built reference instead. Bit-identical to
-    /// the plain path — the simulator is deterministic.
-    pub fn try_campaign_with_artifacts(
-        &self,
-        component: HwComponent,
-        workload: Workload,
-        faults: usize,
-        artifacts: &GoldenArtifacts,
+        artifacts: Option<&GoldenArtifacts>,
     ) -> Result<CampaignResult, CampaignError> {
         Campaign::try_new(self.campaign_config(component, workload, faults))?
-            .try_run_with_artifacts(Some(artifacts))
+            .try_run_with_artifacts(artifacts)
     }
 
     /// Builds (once) and memoizes the golden artifacts of `workload` for
@@ -643,6 +633,23 @@ impl Experiments {
         *cache
             .entry(workload)
             .or_insert_with(|| golden_fingerprint(self.core, workload).ok())
+    }
+
+    /// The fingerprint a finished campaign's row of `workload` is stamped
+    /// with: derived from the sweep's cached artifacts when it built them —
+    /// no extra golden run — else from [`Experiments::current_fingerprint`].
+    fn row_fingerprint(
+        &self,
+        artifacts: &BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>>,
+        fingerprints: &mut BTreeMap<Workload, Option<GoldenFingerprint>>,
+        workload: Workload,
+    ) -> Option<GoldenFingerprint> {
+        match artifacts.get(&workload) {
+            Some(Ok(a)) => *fingerprints
+                .entry(workload)
+                .or_insert_with(|| Some(self.artifact_fingerprint(a))),
+            _ => self.current_fingerprint(fingerprints, workload),
+        }
     }
 
     /// [`Experiments::run_sweep`] with explicit [`SweepControl`]: the form
@@ -747,11 +754,10 @@ impl Experiments {
                     let outcome = if self.use_golden_cache {
                         // One golden (and recording) run per workload,
                         // shared read-only across every campaign.
-                        self.workload_artifacts(&mut artifacts, w).and_then(|a| {
-                            self.try_campaign_with_artifacts(component, w, faults, &a)
-                        })
+                        self.workload_artifacts(&mut artifacts, w)
+                            .and_then(|a| self.try_campaign(component, w, faults, Some(&a)))
                     } else {
-                        self.try_campaign(component, w, faults)
+                        self.try_campaign(component, w, faults, None)
                     };
                     match outcome {
                         Ok(r) => {
@@ -765,14 +771,7 @@ impl Experiments {
                                     eprintln!("  {}", r.anomalies);
                                 }
                             }
-                            // With cached artifacts the fingerprint is
-                            // derived from them — no extra golden run.
-                            let fp = match artifacts.get(&w) {
-                                Some(Ok(a)) => *fingerprints
-                                    .entry(w)
-                                    .or_insert_with(|| Some(self.artifact_fingerprint(a))),
-                                _ => self.current_fingerprint(&mut fingerprints, w),
-                            };
+                            let fp = self.row_fingerprint(&artifacts, &mut fingerprints, w);
                             if let Some(path) = checkpoint {
                                 ResultStore::append_row_with(&retry_io, path, &r, fp)?;
                             }
@@ -897,12 +896,7 @@ impl Experiments {
                     Ok((result, meta)) => {
                         report.executed += 1;
                         report.covered_weight = report.covered_weight.saturating_add(meta.weight);
-                        let fp = match artifacts.get(&w) {
-                            Some(Ok(a)) => *fingerprints
-                                .entry(w)
-                                .or_insert_with(|| Some(self.artifact_fingerprint(a))),
-                            _ => self.current_fingerprint(&mut fingerprints, w),
-                        };
+                        let fp = self.row_fingerprint(&artifacts, &mut fingerprints, w);
                         if self.verbose {
                             eprintln!(
                                 "  {result} [{} classes over {} bit-cycles]",
@@ -1736,7 +1730,7 @@ impl Experiments {
             // Injected side: single-bit data-array campaigns.
             for c in HwComponent::ALL {
                 if !rstore.contains(c, w, 1) {
-                    match self.try_campaign(c, w, 1) {
+                    match self.try_campaign(c, w, 1, None) {
                         Ok(r) => {
                             if self.verbose {
                                 eprintln!("  {r}");

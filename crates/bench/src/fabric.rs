@@ -643,6 +643,26 @@ type Pulse = Mutex<Option<(u64, Arc<AtomicUsize>)>>;
 type ArtifactKey = (Workload, bool, Option<u64>, Option<u64>);
 type ArtifactCache = BTreeMap<ArtifactKey, Result<Arc<GoldenArtifacts>, CampaignError>>;
 
+/// The golden artifacts of `workload` under the sweep's snapshot knobs, from
+/// the worker's cache or built once by `build`.
+fn cached_artifacts(
+    exp: &Experiments,
+    workload: Workload,
+    artifacts: &mut ArtifactCache,
+    build: impl FnOnce() -> Result<GoldenArtifacts, CampaignError>,
+) -> Result<Arc<GoldenArtifacts>, CampaignError> {
+    let key = (
+        workload,
+        exp.use_snapshots,
+        exp.snapshot_interval,
+        exp.snapshot_mem_mb,
+    );
+    artifacts
+        .entry(key)
+        .or_insert_with(|| build().map(Arc::new))
+        .clone()
+}
+
 /// One compiled [`ExhaustivePlan`] per (campaign, snapshot knobs, equiv
 /// spec) per worker process: the golden + liveness capture and the
 /// partition are paid once, then every class-range unit of the campaign
@@ -681,18 +701,9 @@ fn run_unit(
         });
     let campaign = Campaign::try_new(cfg)?;
     let shared = if exp.use_golden_cache {
-        let key = (
-            unit.workload,
-            exp.use_snapshots,
-            exp.snapshot_interval,
-            exp.snapshot_mem_mb,
-        );
-        Some(
-            artifacts
-                .entry(key)
-                .or_insert_with(|| campaign.build_artifacts().map(Arc::new))
-                .clone()?,
-        )
+        Some(cached_artifacts(exp, unit.workload, artifacts, || {
+            campaign.build_artifacts()
+        })?)
     } else {
         None
     };
@@ -759,20 +770,9 @@ fn run_equiv_unit(
             ExhaustivePlan::try_new(cfg, eq.exhaustive).map(Arc::new)
         })
         .clone()?;
-    let artifact_key = (
-        unit.workload,
-        exp.use_snapshots,
-        exp.snapshot_interval,
-        exp.snapshot_mem_mb,
-    );
-    let shared = artifacts
-        .entry(artifact_key)
-        .or_insert_with(|| {
-            Campaign::try_new(exp.equiv_config(unit.component, unit.workload))
-                .and_then(|c| c.build_artifacts())
-                .map(Arc::new)
-        })
-        .clone()?;
+    let shared = cached_artifacts(exp, unit.workload, artifacts, || {
+        Campaign::try_new(exp.equiv_config(unit.component, unit.workload))?.build_artifacts()
+    })?;
     let cov = plan.coverage();
     let fingerprint = exp.artifact_fingerprint(&shared);
     let row = match eq.stratified {

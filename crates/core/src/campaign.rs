@@ -44,14 +44,15 @@ use crate::stats;
 use crate::tech::component_bits;
 use mbu_ace::LivenessOracle;
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
-use mbu_isa::Program;
 use mbu_snap::{GoldenArtifacts, SnapshotSpec, SnapshotStats, SnapshotStore};
 use mbu_sram::{BitCoord, Geometry, Restorable};
 use mbu_workloads::Workload;
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Which SRAM array of the target component to inject into.
@@ -75,9 +76,11 @@ impl fmt::Display for InjectionTarget {
     }
 }
 
-/// A per-run hook: an arbitrary (possibly stateful) closure invoked with
-/// the run index at the start of each injection run, inside the isolation
-/// boundary. Cloning shares the underlying closure.
+/// A per-run hook: an arbitrary (possibly stateful) closure invoked at the
+/// start of each injection, inside the isolation boundary — with the run
+/// index for a sampled run, the live position for an exhaustive class sim
+/// and the batch position for a stratified draw. Cloning shares the
+/// underlying closure.
 #[derive(Clone)]
 pub struct RunHook(pub Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -205,9 +208,9 @@ pub struct CampaignConfig {
     /// Recording parameters (interval, memory cap) for the snapshot store;
     /// only consulted when [`CampaignConfig::use_snapshots`] is set.
     pub snapshot_spec: SnapshotSpec,
-    /// Test-only fault hook, invoked with the run index at the start of each
-    /// injection run *inside* the isolation boundary. Lets tests provoke
-    /// panics and stalls in an otherwise healthy engine.
+    /// Test-only fault hook, invoked at the start of each injection *inside*
+    /// the isolation boundary (see [`RunHook`] for the index it gets). Lets
+    /// tests provoke panics and stalls in an otherwise healthy engine.
     #[doc(hidden)]
     pub run_hook: Option<RunHook>,
 }
@@ -688,6 +691,29 @@ struct RunExtras {
     deadline_hit: bool,
 }
 
+/// Sampled runs folded into counts, details, anomalies and fast-path
+/// counters — one per worker, merged once the workers join.
+#[derive(Debug, Default)]
+struct Tally {
+    counts: ClassCounts,
+    details: Vec<RunDetail>,
+    anomalies: AnomalyLog,
+    oracle_skips: u64,
+    snap_restores: u64,
+    snap_early_masked: u64,
+}
+
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.counts.merge(&other.counts);
+        self.details.extend(other.details);
+        self.anomalies.merge(other.anomalies);
+        self.oracle_skips += other.oracle_skips;
+        self.snap_restores += other.snap_restores;
+        self.snap_early_masked += other.snap_early_masked;
+    }
+}
+
 /// A runnable campaign.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -740,19 +766,6 @@ impl Campaign {
         &self.config
     }
 
-    /// Executes the golden run, reporting a non-clean exit as
-    /// [`CampaignError::GoldenRunFailed`].
-    fn golden(&self, program: &Program) -> Result<(Vec<u8>, u32, u64, u64), CampaignError> {
-        let r = Simulator::new(self.config.core, program).run(u64::MAX / 8);
-        match r.end {
-            RunEnd::Exited { code } => Ok((r.output, code, r.cycles, r.instructions)),
-            end => Err(CampaignError::GoldenRunFailed {
-                workload: self.config.workload,
-                end,
-            }),
-        }
-    }
-
     /// Executes one injection run. Returns the run record plus the
     /// fast-path flags (oracle skip / snapshot restore / early mask).
     ///
@@ -764,58 +777,33 @@ impl Campaign {
     /// instead of before it: once every reachable bit matches the golden
     /// checkpoint, determinism makes the rest of the run identical to the
     /// golden run, so it is `Masked` with exactly `fault_free_cycles`.
-    #[allow(clippy::too_many_arguments)]
     fn one_run(
         &self,
-        program: &Program,
+        golden: &GoldenArtifacts,
         run_index: usize,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
         deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras) {
         let cfg = &self.config;
-        if let Some(hook) = &cfg.run_hook {
-            (hook.0)(run_index);
-        }
         // Independent per-run RNG: deterministic under any thread schedule.
         // The draw order (injection cycle, then mask) must not depend on the
         // oracle or the snapshot store, so skipped, fast-forwarded and
         // fully-simulated runs all see identical faults.
         let run_seed = derive_run_seed(cfg.seed, run_index);
         let mut gen = MaskGenerator::seeded(run_seed, cfg.cluster);
-        let inject_at = gen.injection_cycle(fault_free_cycles);
+        let inject_at = gen.injection_cycle(golden.cycles());
         let mask = gen.generate(geometry, cfg.faults);
-        let mut extras = RunExtras::default();
-        if let Some(o) = oracle {
-            if o.provably_masked(&mask.coords, inject_at) {
-                extras.oracle_skip = true;
-                let detail = RunDetail {
-                    index: run_index,
-                    inject_cycle: inject_at,
-                    mask,
-                    effect: FaultEffect::Masked,
-                    cycles: fault_free_cycles,
+        let (effect, cycles, extras) = match oracle {
+            Some(o) if o.provably_masked(&mask.coords, inject_at) => {
+                let extras = RunExtras {
+                    oracle_skip: true,
+                    ..RunExtras::default()
                 };
-                return (detail, extras);
+                (FaultEffect::Masked, golden.cycles(), extras)
             }
-        }
-        let (effect, cycles, run_extras) = self.run_injection(
-            program,
-            &mask.coords,
-            inject_at,
-            fault_free_cycles,
-            golden_output,
-            golden_code,
-            snapshots,
-            deadline,
-        );
-        extras.snapshot_restore = run_extras.snapshot_restore;
-        extras.snapshot_early_masked = run_extras.snapshot_early_masked;
-        extras.deadline_hit = run_extras.deadline_hit;
+            _ => self.run_injection(golden, &mask.coords, inject_at, deadline),
+        };
         let detail = RunDetail {
             index: run_index,
             inject_cycle: inject_at,
@@ -832,21 +820,17 @@ impl Campaign {
     /// [`Campaign::probe_injection`] — the primitive the exhaustive
     /// (per-equivalence-class) engine drives with chosen fault sites
     /// instead of seed-drawn ones.
-    #[allow(clippy::too_many_arguments)]
     fn run_injection(
         &self,
-        program: &Program,
+        golden: &GoldenArtifacts,
         coords: &[BitCoord],
         inject_at: u64,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        snapshots: Option<&SnapshotStore>,
         deadline: Option<Instant>,
     ) -> (FaultEffect, u64, RunExtras) {
         let cfg = &self.config;
         let mut extras = RunExtras::default();
-        let mut sim = Simulator::new(cfg.core, program);
+        let mut sim = Simulator::new(cfg.core, golden.program());
+        let snapshots = self.snapshots(golden);
         if let Some(store) = snapshots {
             // Fast-forward: skip the fault-free prefix by restoring the
             // nearest golden checkpoint at or before the injection cycle.
@@ -856,7 +840,7 @@ impl Campaign {
         if let Some(deadline) = deadline {
             sim.set_deadline(deadline);
         }
-        let limit = fault_free_cycles * cfg.timeout_factor;
+        let limit = golden.cycles() * cfg.timeout_factor;
         // The injection point precedes the fault-free end, so the run cannot
         // have finished yet.
         if sim.run_until_cycle(inject_at).is_none() {
@@ -871,7 +855,7 @@ impl Campaign {
                 let (end, early) = run_with_reconvergence(&mut sim, store, limit);
                 if early {
                     extras.snapshot_early_masked = true;
-                    return (FaultEffect::Masked, fault_free_cycles, extras);
+                    return (FaultEffect::Masked, golden.cycles(), extras);
                 }
                 end
             }
@@ -883,111 +867,95 @@ impl Campaign {
             cycles: sim.cycle(),
             instructions: sim.instructions(),
         };
-        let effect = classify(&result, golden_output, golden_code);
+        let effect = classify(&result, golden.output(), golden.exit_code());
         (effect, result.cycles, extras)
+    }
+
+    /// The isolation boundary every injection runs inside: calls the run
+    /// hook with `hook_index` (when given), then `run`, under
+    /// `catch_unwind` with the quiet panic hook armed. A panic in either
+    /// comes back as the `Err` payload.
+    ///
+    /// `catch_unwind` unwind-safety audit: `run` captures only shared
+    /// references (configuration, golden artifacts, oracle, fault sites)
+    /// and `Copy` values. All mutable state — simulator, mask generator —
+    /// lives *inside* the closure and is dropped on unwind, so nothing
+    /// observable can be left half-updated; the `AssertUnwindSafe` is
+    /// sound.
+    fn isolated<T>(&self, hook_index: Option<usize>, run: impl FnOnce() -> T) -> thread::Result<T> {
+        install_quiet_panic_hook();
+        IN_ISOLATED_RUN.with(|flag| {
+            flag.set(true);
+            let r = panic::catch_unwind(AssertUnwindSafe(|| {
+                if let (Some(hook), Some(i)) = (&self.config.run_hook, hook_index) {
+                    (hook.0)(i);
+                }
+                run()
+            }));
+            flag.set(false);
+            r
+        })
     }
 
     /// [`Campaign::run_injection`] inside the isolation boundary, for
     /// callers that choose the fault site deterministically (the exhaustive
-    /// engine): panics inside the simulated run classify as
+    /// engine): panics inside the hook or the simulated run classify as
     /// [`FaultEffect::Assert`] with zero cycles, mirroring the sampled
-    /// path.
-    #[allow(clippy::too_many_arguments)]
+    /// path. Class sims carry no wall-clock deadline.
     pub(crate) fn probe_injection(
         &self,
-        program: &Program,
+        golden: &GoldenArtifacts,
+        hook_index: Option<usize>,
         coords: &[BitCoord],
         inject_at: u64,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        snapshots: Option<&SnapshotStore>,
     ) -> (FaultEffect, u64) {
-        install_quiet_panic_hook();
-        let outcome = IN_ISOLATED_RUN.with(|flag| {
-            flag.set(true);
-            let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_injection(
-                    program,
-                    coords,
-                    inject_at,
-                    fault_free_cycles,
-                    golden_output,
-                    golden_code,
-                    snapshots,
-                    None,
-                )
-            }));
-            flag.set(false);
-            r
-        });
-        match outcome {
+        match self.isolated(hook_index, || {
+            self.run_injection(golden, coords, inject_at, None)
+        }) {
             Ok((effect, cycles, _)) => (effect, cycles),
             Err(_) => (FaultEffect::Assert, 0),
         }
     }
 
-    /// Executes one injection run inside the isolation boundary: panics are
-    /// captured (and classified as [`FaultEffect::Assert`]), runs stopped at
-    /// their deadline are logged.
-    ///
-    /// `catch_unwind` unwind-safety audit: the closure captures `&self`
-    /// (immutable configuration), `&Program` (immutable), the golden
-    /// reference slices (immutable) and the deadline (`Copy`). All
-    /// mutable state — simulator, mask generator — lives *inside* the
-    /// closure and is dropped on unwind, so nothing observable can be left
-    /// half-updated; the `AssertUnwindSafe` is sound.
-    #[allow(clippy::too_many_arguments)]
+    /// Executes one sampled injection run inside the isolation boundary:
+    /// panics are captured (and classified as [`FaultEffect::Assert`]),
+    /// runs stopped at their deadline are logged.
     fn one_run_isolated(
         &self,
-        program: &Program,
+        golden: &GoldenArtifacts,
         run_index: usize,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
-        deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras, Option<Anomaly>) {
-        install_quiet_panic_hook();
-        let outcome = IN_ISOLATED_RUN.with(|flag| {
-            flag.set(true);
-            let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.one_run(
-                    program,
-                    run_index,
-                    fault_free_cycles,
-                    golden_output,
-                    golden_code,
-                    geometry,
-                    oracle,
-                    snapshots,
-                    deadline,
-                )
-            }));
-            flag.set(false);
-            r
-        });
-        match outcome {
+        // Taken before the run hook, so time spent there counts against
+        // the budget.
+        let deadline = self
+            .config
+            .run_wall_budget
+            .and_then(|budget| Instant::now().checked_add(budget));
+        let anomaly = |kind, message| Anomaly {
+            run_index,
+            run_seed: derive_run_seed(self.config.seed, run_index),
+            kind,
+            message,
+        };
+        match self.isolated(Some(run_index), || {
+            self.one_run(golden, run_index, geometry, oracle, deadline)
+        }) {
             Ok((detail, extras)) => {
                 // Logged exactly when the simulator stopped the run, so a
                 // run that finished just before its deadline keeps its
                 // normal classification and no anomaly.
-                let anomaly = if extras.deadline_hit {
-                    Some(Anomaly {
-                        run_index,
-                        run_seed: derive_run_seed(self.config.seed, run_index),
-                        kind: AnomalyKind::WallClock,
-                        message: format!(
+                let stopped = extras.deadline_hit.then(|| {
+                    anomaly(
+                        AnomalyKind::WallClock,
+                        format!(
                             "cancelled after exceeding the {:?} wall-clock budget",
                             self.config.run_wall_budget.unwrap_or_default()
                         ),
-                    })
-                } else {
-                    None
-                };
-                (detail, extras, anomaly)
+                    )
+                });
+                (detail, extras, stopped)
             }
             Err(payload) => {
                 // A panic is the software image of a hardware assert: an
@@ -1003,128 +971,87 @@ impl Campaign {
                     effect: FaultEffect::Assert,
                     cycles: 0,
                 };
-                let anomaly = Anomaly {
-                    run_index,
-                    run_seed: derive_run_seed(self.config.seed, run_index),
-                    kind: AnomalyKind::Panic,
-                    message: payload_message(payload.as_ref()),
-                };
-                (detail, RunExtras::default(), Some(anomaly))
+                let panicked = anomaly(AnomalyKind::Panic, payload_message(payload.as_ref()));
+                (detail, RunExtras::default(), Some(panicked))
             }
         }
     }
 
-    /// Executes the injection runs `[start, end)` in parallel (work-stealing
-    /// over an atomic index; deterministic for a given seed regardless of
-    /// thread count), merging into the caller's accumulators.
-    #[allow(clippy::too_many_arguments)]
+    /// The fan-out every batch of injections goes through: calls `job` for
+    /// each index of `0..len` on the configured worker threads (0 ⇒
+    /// available parallelism, never more than `len`), handing out one
+    /// index at a time. Each worker folds into its own accumulator; the
+    /// accumulators come back in worker order, so callers that need a
+    /// deterministic order sort after merging. A panic *outside* the
+    /// isolation boundary is an engine bug: the other workers still
+    /// finish, and the batch fails with [`CampaignError::WorkerPanicked`].
+    pub(crate) fn fan_out<A: Default + Send>(
+        &self,
+        len: usize,
+        job: impl Fn(usize, &mut A) + Sync,
+    ) -> Result<Vec<A>, CampaignError> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let threads = match self.config.threads {
+            0 => thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .min(len)
+        .max(1);
+        let next = AtomicUsize::new(0);
+        let (next, job) = (&next, &job);
+        let joined: Vec<_> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut acc = A::default();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= len {
+                                return acc;
+                            }
+                            job(i, &mut acc);
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join()).collect()
+        });
+        joined
+            .into_iter()
+            .map(|r| r.map_err(|_| CampaignError::WorkerPanicked))
+            .collect()
+    }
+
+    /// Executes the injection runs `range` in parallel (deterministic for
+    /// a given seed regardless of thread count) and returns their tally.
     fn run_batch(
         &self,
-        program: &Program,
-        range: std::ops::Range<usize>,
-        cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
+        golden: &GoldenArtifacts,
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
-        counts: &mut ClassCounts,
-        details: &mut Vec<RunDetail>,
-        anomalies: &mut AnomalyLog,
-        oracle_skips: &mut u64,
-        snap_restores: &mut u64,
-        snap_early_masked: &mut u64,
-    ) -> Result<(), CampaignError> {
-        let cfg = &self.config;
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(range.len())
-        .max(1);
-        let next = AtomicUsize::new(range.start);
-        let mut worker_panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let range = &range;
-                handles.push(scope.spawn(move || {
-                    let mut local = ClassCounts::new();
-                    let mut local_details = Vec::new();
-                    let mut local_anomalies = AnomalyLog::new();
-                    let mut local_extras = (0u64, 0u64, 0u64);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= range.end {
-                            break;
-                        }
-                        // Taken before the run hook, so time spent there
-                        // counts against the budget.
-                        let deadline = cfg
-                            .run_wall_budget
-                            .and_then(|budget| Instant::now().checked_add(budget));
-                        let (detail, extras, anomaly) = self.one_run_isolated(
-                            program,
-                            i,
-                            cycles,
-                            golden_output,
-                            golden_code,
-                            geometry,
-                            oracle,
-                            snapshots,
-                            deadline,
-                        );
-                        local.record(detail.effect);
-                        local_extras.0 += u64::from(extras.oracle_skip);
-                        local_extras.1 += u64::from(extras.snapshot_restore);
-                        local_extras.2 += u64::from(extras.snapshot_early_masked);
-                        if let Some(a) = anomaly {
-                            local_anomalies.record(a);
-                        }
-                        if cfg.collect_details {
-                            local_details.push(detail);
-                        }
-                    }
-                    (local, local_details, local_anomalies, local_extras)
-                }));
+        range: std::ops::Range<usize>,
+    ) -> Result<Tally, CampaignError> {
+        let workers = self.fan_out(range.len(), |k, tally: &mut Tally| {
+            let (detail, extras, anomaly) =
+                self.one_run_isolated(golden, range.start + k, geometry, oracle);
+            tally.counts.record(detail.effect);
+            tally.oracle_skips += u64::from(extras.oracle_skip);
+            tally.snap_restores += u64::from(extras.snapshot_restore);
+            tally.snap_early_masked += u64::from(extras.snapshot_early_masked);
+            if let Some(a) = anomaly {
+                tally.anomalies.record(a);
             }
-            for h in handles {
-                match h.join() {
-                    Ok((local, local_details, local_anomalies, local_extras)) => {
-                        counts.merge(&local);
-                        details.extend(local_details);
-                        anomalies.merge(local_anomalies);
-                        *oracle_skips += local_extras.0;
-                        *snap_restores += local_extras.1;
-                        *snap_early_masked += local_extras.2;
-                    }
-                    // A panic *outside* the per-run isolation boundary is an
-                    // engine bug; salvage the other workers' results and
-                    // report it as a typed error below.
-                    Err(_) => worker_panicked = true,
-                }
+            if self.config.collect_details {
+                tally.details.push(detail);
             }
-        });
-        if worker_panicked {
-            return Err(CampaignError::WorkerPanicked);
+        })?;
+        let mut batch = Tally::default();
+        for tally in workers {
+            batch.merge(tally);
         }
-        Ok(())
-    }
-
-    /// The achieved error margin of `counts` over the component's fault
-    /// population, with the measured AVF (clamped to `[0.01, 0.99]`) as the
-    /// probability estimate.
-    fn achieved_margin(
-        &self,
-        counts: &ClassCounts,
-        fault_free_cycles: u64,
-        z: f64,
-    ) -> Result<f64, CampaignError> {
-        campaign_margin(self.config.component, counts, fault_free_cycles, z)
+        Ok(batch)
     }
 
     /// Runs the whole campaign (parallel, deterministic), reporting failures
@@ -1173,7 +1100,7 @@ impl Campaign {
         &self,
         artifacts: Option<&GoldenArtifacts>,
     ) -> Result<CampaignResult, CampaignError> {
-        self.execute(artifacts, None)
+        self.execute(artifacts, 0..self.config.runs)
     }
 
     /// Runs only the run-range `range` of this campaign — the execution
@@ -1212,70 +1139,65 @@ impl Campaign {
                 reason: "adaptive campaigns cannot be split into partial run-ranges",
             });
         }
-        self.execute(artifacts, Some(range))
+        self.execute(artifacts, range)
     }
 
-    /// Rejects golden artifacts built for a different campaign (wrong core
-    /// configuration, wrong program, or a missing/mismatched snapshot
-    /// store) — shared by the sampled executor and the exhaustive engine.
-    pub(crate) fn validate_artifacts(
+    /// The golden reference every injection is classified against — shared
+    /// by the sampled executor and the exhaustive engine. `Some` artifacts
+    /// are checked against this campaign (core configuration, program,
+    /// snapshot store and spec) and borrowed; `None` builds them with
+    /// [`Campaign::build_artifacts`].
+    pub(crate) fn resolve_artifacts<'a>(
         &self,
-        program: &Program,
-        artifacts: &GoldenArtifacts,
-    ) -> Result<(), CampaignError> {
+        artifacts: Option<&'a GoldenArtifacts>,
+    ) -> Result<Cow<'a, GoldenArtifacts>, CampaignError> {
+        let Some(artifacts) = artifacts else {
+            return self.build_artifacts().map(Cow::Owned);
+        };
         let cfg = &self.config;
-        if *artifacts.core() != cfg.core {
-            return Err(CampaignError::ArtifactMismatch {
-                reason: "artifacts were built for a different core configuration",
-            });
+        let mismatch = if *artifacts.core() != cfg.core {
+            Some("artifacts were built for a different core configuration")
+        } else if *artifacts.program() != cfg.workload.program() {
+            Some("artifacts were built for a different program")
+        } else if cfg.use_snapshots && artifacts.snapshot_store().is_none() {
+            Some("campaign uses snapshots but the artifacts carry no store")
+        } else if cfg.use_snapshots && artifacts.snapshot_spec() != Some(cfg.snapshot_spec) {
+            Some("artifacts' snapshot store was recorded under a different spec")
+        } else {
+            None
+        };
+        match mismatch {
+            Some(reason) => Err(CampaignError::ArtifactMismatch { reason }),
+            None => Ok(Cow::Borrowed(artifacts)),
         }
-        if artifacts.program() != program {
-            return Err(CampaignError::ArtifactMismatch {
-                reason: "artifacts were built for a different program",
-            });
-        }
-        if cfg.use_snapshots {
-            if artifacts.snapshot_store().is_none() {
-                return Err(CampaignError::ArtifactMismatch {
-                    reason: "campaign uses snapshots but the artifacts carry no store",
-                });
-            }
-            if artifacts.snapshot_spec() != Some(cfg.snapshot_spec) {
-                return Err(CampaignError::ArtifactMismatch {
-                    reason: "artifacts' snapshot store was recorded under a different spec",
-                });
-            }
-        }
-        Ok(())
     }
 
-    /// Shared body of [`Campaign::try_run_with_artifacts`] (`range: None`)
-    /// and [`Campaign::try_run_range_with_artifacts`] (`range: Some`).
+    /// The golden checkpoint store injections fast-forward from — only when
+    /// [`CampaignConfig::use_snapshots`] is set, since shared artifacts may
+    /// carry a store this campaign did not ask for.
+    pub(crate) fn snapshots<'a>(&self, golden: &'a GoldenArtifacts) -> Option<&'a SnapshotStore> {
+        golden
+            .snapshot_store()
+            .filter(|_| self.config.use_snapshots)
+            .map(|store| store.as_ref())
+    }
+
+    /// Shared body of [`Campaign::try_run_with_artifacts`] (the whole
+    /// campaign) and [`Campaign::try_run_range_with_artifacts`].
     fn execute(
         &self,
         artifacts: Option<&GoldenArtifacts>,
-        range: Option<std::ops::Range<usize>>,
+        range: std::ops::Range<usize>,
     ) -> Result<CampaignResult, CampaignError> {
         let cfg = &self.config;
-        let program = cfg.workload.program();
-        if let Some(a) = artifacts {
-            self.validate_artifacts(&program, a)?;
-        }
-        // Golden reference: from the shared artifacts, or one private run.
-        let owned_golden = match artifacts {
-            Some(_) => None,
-            None => Some(self.golden(&program)?),
-        };
-        let (golden_output, golden_code, cycles, instructions): (&[u8], u32, u64, u64) =
-            match (&owned_golden, artifacts) {
-                (Some((o, c, cy, i)), _) => (o, *c, *cy, *i),
-                (None, Some(a)) => (a.output(), a.exit_code(), a.cycles(), a.instructions()),
-                (None, None) => unreachable!("one golden source always exists"),
-            };
+        let golden = self.resolve_artifacts(artifacts)?;
+        let golden = golden.as_ref();
+        let program = golden.program();
+        let cycles = golden.cycles();
         // Target geometry is config-determined; compute it once instead of
         // per run so the oracle fast path can skip Simulator construction.
         let geometry = {
-            let sim = Simulator::new(cfg.core, &program);
+            let sim = Simulator::new(cfg.core, program);
             match cfg.target {
                 InjectionTarget::DataArray => sim.component_geometry(cfg.component),
                 InjectionTarget::TagArray => sim.tag_geometry(cfg.component),
@@ -1286,39 +1208,17 @@ impl Campaign {
         // that does not exit cleanly) silently disable the fast path: the
         // campaign is then merely slower, never wrong.
         let oracle = if cfg.use_liveness_oracle && cfg.target == InjectionTarget::DataArray {
-            LivenessOracle::build(cfg.core, &program, cfg.component).ok()
+            LivenessOracle::build(cfg.core, program, cfg.component).ok()
         } else {
             None
         };
         let oracle = oracle.as_ref();
-        // One extra golden (recording) run buys checkpointed fast-forwarding
-        // and reconvergence-based early exit for every injection run — paid
-        // here only when no shared store came with the artifacts.
-        let owned_store = if cfg.use_snapshots && artifacts.is_none() {
-            Some(SnapshotStore::record_golden(
-                cfg.core,
-                &program,
-                cycles,
-                cfg.snapshot_spec,
-            ))
-        } else {
-            None
-        };
-        let snapshots: Option<&SnapshotStore> = if cfg.use_snapshots {
-            match artifacts {
-                Some(a) => a.snapshot_store().map(|s| s.as_ref()),
-                None => owned_store.as_ref(),
-            }
-        } else {
-            None
-        };
-        let mut counts = ClassCounts::new();
-        let mut details: Vec<RunDetail> = Vec::new();
-        let mut anomalies = AnomalyLog::new();
+        let snapshots = self.snapshots(golden);
+        let mut tally = Tally::default();
         if let Some(store) = snapshots {
             let thinned = store.stats().thinned;
             if thinned > 0 {
-                anomalies.record(Anomaly {
+                tally.anomalies.record(Anomaly {
                     run_index: 0,
                     run_seed: cfg.seed,
                     kind: AnomalyKind::SnapshotMemCap,
@@ -1334,66 +1234,41 @@ impl Campaign {
                 });
             }
         }
-        let mut oracle_skips = 0u64;
-        let mut snap_restores = 0u64;
-        let mut snap_early_masked = 0u64;
-        let (range_start, range_end) = match &range {
-            Some(r) => (r.start, r.end),
-            None => (0, cfg.runs),
-        };
-        let mut executed = range_start;
-        while executed < range_end {
+        let mut executed = range.start;
+        while executed < range.end {
             let end = match &cfg.adaptive {
-                None => range_end,
-                Some(a) => (executed + a.batch).min(range_end),
+                None => range.end,
+                Some(a) => (executed + a.batch).min(range.end),
             };
-            self.run_batch(
-                &program,
-                executed..end,
-                cycles,
-                golden_output,
-                golden_code,
-                geometry,
-                oracle,
-                snapshots,
-                &mut counts,
-                &mut details,
-                &mut anomalies,
-                &mut oracle_skips,
-                &mut snap_restores,
-                &mut snap_early_masked,
-            )?;
+            tally.merge(self.run_batch(golden, geometry, oracle, executed..end)?);
             executed = end;
             if let Some(a) = &cfg.adaptive {
                 if executed >= a.min_runs
-                    && self.achieved_margin(&counts, cycles, a.z)? <= a.target_margin
+                    && campaign_margin(cfg.component, &tally.counts, cycles, a.z)?
+                        <= a.target_margin
                 {
                     break;
                 }
             }
         }
         let z = cfg.adaptive.as_ref().map(|a| a.z).unwrap_or(stats::Z_99);
-        let achieved_margin = Some(self.achieved_margin(&counts, cycles, z)?);
-        details.sort_by_key(|d| d.index);
-        anomalies.sort();
+        let achieved_margin = Some(campaign_margin(cfg.component, &tally.counts, cycles, z)?);
+        tally.details.sort_by_key(|d| d.index);
+        tally.anomalies.sort();
         Ok(CampaignResult {
             workload: cfg.workload,
             component: cfg.component,
             faults: cfg.faults,
-            counts,
+            counts: tally.counts,
             fault_free_cycles: cycles,
-            fault_free_instructions: instructions,
-            details: if cfg.collect_details {
-                Some(details)
-            } else {
-                None
-            },
-            anomalies,
-            oracle_skips,
+            fault_free_instructions: golden.instructions(),
+            details: cfg.collect_details.then_some(tally.details),
+            anomalies: tally.anomalies,
+            oracle_skips: tally.oracle_skips,
             achieved_margin,
             snapshot_stats: snapshots.map(|s| SnapshotStats {
-                restores: snap_restores,
-                early_masked: snap_early_masked,
+                restores: tally.snap_restores,
+                early_masked: tally.snap_early_masked,
                 ..s.stats()
             }),
         })

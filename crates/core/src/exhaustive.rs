@@ -34,13 +34,8 @@ use crate::error::CampaignError;
 use crate::stats;
 use mbu_ace::LivenessOracle;
 use mbu_equiv::{physical_coord, CoverageReport, FaultClass, LiveIndex, Partition};
-use mbu_snap::GoldenArtifacts;
+use mbu_snap::{GoldenArtifacts, SnapshotStore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A simulated class outcome in shard form: `(class_id, (effect, cycles))`.
-type ClassSim = (u64, (FaultEffect, u64));
 
 /// Default cap on live (must-simulate) classes — past this an exhaustive
 /// campaign is refused as intractable ([`CampaignError::ClassCapExceeded`]).
@@ -282,33 +277,17 @@ impl ExhaustivePlan {
     /// [`ExhaustiveSpec::snap_align`] is on and the artifacts carry a
     /// store (sound either way by class-member invariance).
     fn member_cycle(&self, class: &FaultClass, artifacts: &GoldenArtifacts) -> u64 {
-        if self.spec.snap_align && self.campaign.config().use_snapshots {
-            if let Some(store) = artifacts.snapshot_store() {
-                if let Some(cycle) = store.nearest_cycle_in(class.start, class.end) {
-                    return cycle;
-                }
-            }
-        }
-        class.representative(self.spec.rep_seed)
+        self.aligned_store(artifacts)
+            .and_then(|store| store.nearest_cycle_in(class.start, class.end))
+            .unwrap_or_else(|| class.representative(self.spec.rep_seed))
     }
 
-    /// Builds (or validates) the golden artifacts for this plan.
-    fn artifacts<'a>(
-        &self,
-        artifacts: Option<&'a GoldenArtifacts>,
-        owned: &'a mut Option<GoldenArtifacts>,
-    ) -> Result<&'a GoldenArtifacts, CampaignError> {
-        let program = self.campaign.config().workload.program();
-        match artifacts {
-            Some(a) => {
-                self.campaign.validate_artifacts(&program, a)?;
-                Ok(a)
-            }
-            None => {
-                *owned = Some(self.campaign.build_artifacts()?);
-                Ok(owned.as_ref().expect("just built"))
-            }
-        }
+    /// The checkpoint store representatives snap onto, when
+    /// [`ExhaustiveSpec::snap_align`] is on and the campaign uses one.
+    fn aligned_store<'a>(&self, artifacts: &'a GoldenArtifacts) -> Option<&'a SnapshotStore> {
+        self.campaign
+            .snapshots(artifacts)
+            .filter(|_| self.spec.snap_align)
     }
 
     /// Execution order for the range's live positions: ascending member
@@ -324,10 +303,7 @@ impl ExhaustivePlan {
         artifacts: &GoldenArtifacts,
     ) -> Vec<usize> {
         let mut order: Vec<usize> = range.clone().collect();
-        if self.spec.snap_align
-            && self.campaign.config().use_snapshots
-            && artifacts.snapshot_store().is_some()
-        {
+        if self.aligned_store(artifacts).is_some() {
             order.sort_by_cached_key(|&i| {
                 let class = self.live_class(i);
                 (self.member_cycle(&class, artifacts), i)
@@ -343,8 +319,9 @@ impl ExhaustivePlan {
     /// thread count, representative seed, and snapshots on or off — the
     /// shard primitive behind distributed exhaustive sweeps. The
     /// campaign's per-run hook (when set) fires once per class sim with
-    /// the live position index, so fabric workers get heartbeat progress
-    /// and chaos injection at class granularity.
+    /// the live position index, inside the isolation boundary, so fabric
+    /// workers get heartbeat progress and chaos injection at class
+    /// granularity and a panicking hook classifies that class `Assert`.
     ///
     /// # Errors
     ///
@@ -362,85 +339,43 @@ impl ExhaustivePlan {
                 classes: self.live.len(),
             });
         }
-        let mut owned = None;
-        let artifacts = self.artifacts(artifacts, &mut owned)?;
-        let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(range.len())
-        .max(1);
-        let order = self.locality_order(&range, artifacts);
-        let hook = cfg.run_hook.as_ref();
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<ClassOutcome> = Vec::with_capacity(range.len());
-        let mut worker_panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let order = &order;
-                let program = &program;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= order.len() {
-                            break;
-                        }
-                        let i = order[k];
-                        if let Some(hook) = hook {
-                            (hook.0)(i);
-                        }
-                        let class = self.live_class(i);
-                        local.push(self.simulate_class(&class, program, artifacts, snapshots));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(local) => outcomes.extend(local),
-                    Err(_) => worker_panicked = true,
-                }
-            }
-        });
-        if worker_panicked {
-            return Err(CampaignError::WorkerPanicked);
-        }
+        let golden = self.campaign.resolve_artifacts(artifacts)?;
+        let order = self.locality_order(&range, &golden);
+        let workers = self
+            .campaign
+            .fan_out(order.len(), |k, local: &mut Vec<_>| {
+                let i = order[k];
+                local.push(self.simulate_class(&self.live_class(i), &golden, Some(i)));
+            })?;
+        let mut outcomes: Vec<ClassOutcome> = workers.into_iter().flatten().collect();
         outcomes.sort_by_key(|o| o.class_id);
         Ok(outcomes)
     }
 
-    /// Simulates one class's representative (inside the isolation
-    /// boundary; panics classify as `Assert` like the sampled path).
+    /// Simulates one class's representative, calling the run hook with
+    /// `hook_index` first (both inside the isolation boundary; panics
+    /// classify as `Assert` like the sampled path).
     fn simulate_class(
         &self,
         class: &FaultClass,
-        program: &mbu_isa::Program,
-        artifacts: &GoldenArtifacts,
-        snapshots: Option<&mbu_snap::SnapshotStore>,
+        golden: &GoldenArtifacts,
+        hook_index: Option<usize>,
     ) -> ClassOutcome {
-        let inject_cycle = self.member_cycle(class, artifacts);
+        self.simulate_member(class, self.member_cycle(class, golden), golden, hook_index)
+    }
+
+    /// Simulates `class` injected at its member cycle `inject_cycle`.
+    fn simulate_member(
+        &self,
+        class: &FaultClass,
+        inject_cycle: u64,
+        golden: &GoldenArtifacts,
+        hook_index: Option<usize>,
+    ) -> ClassOutcome {
         let coords = [physical_coord(class.row, class.col, self.interleave)];
-        let (effect, cycles) = self.campaign.probe_injection(
-            program,
-            &coords,
-            inject_cycle,
-            artifacts.cycles(),
-            artifacts.output(),
-            artifacts.exit_code(),
-            snapshots,
-        );
+        let (effect, cycles) =
+            self.campaign
+                .probe_injection(golden, hook_index, &coords, inject_cycle);
         ClassOutcome {
             class_id: class.id,
             inject_cycle,
@@ -474,31 +409,8 @@ impl ExhaustivePlan {
             class.start,
             class.end
         );
-        let mut owned = None;
-        let artifacts = self.artifacts(artifacts, &mut owned)?;
-        let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
-        let coords = [physical_coord(class.row, class.col, self.interleave)];
-        let (effect, cycles) = self.campaign.probe_injection(
-            &program,
-            &coords,
-            inject_cycle,
-            artifacts.cycles(),
-            artifacts.output(),
-            artifacts.exit_code(),
-            snapshots,
-        );
-        Ok(ClassOutcome {
-            class_id: class.id,
-            inject_cycle,
-            weight: class.weight(),
-            effect,
-            cycles,
-        })
+        let golden = self.campaign.resolve_artifacts(artifacts)?;
+        Ok(self.simulate_member(class, inject_cycle, &golden, None))
     }
 
     /// Folds per-class outcomes (every live class exactly once, in any
@@ -568,14 +480,13 @@ impl ExhaustivePlan {
         &self,
         artifacts: Option<&GoldenArtifacts>,
     ) -> Result<ExhaustiveResult, CampaignError> {
-        let mut owned = None;
-        let artifacts = self.artifacts(artifacts, &mut owned)?;
+        let golden = self.campaign.resolve_artifacts(artifacts)?;
         let outcomes = if self.live.is_empty() {
             Vec::new()
         } else {
-            self.run_class_range(0..self.live.len(), Some(artifacts))?
+            self.run_class_range(0..self.live.len(), Some(&golden))?
         };
-        self.finalize(&outcomes, artifacts.instructions())
+        self.finalize(&outcomes, golden.instructions())
     }
 
     /// Runs the class-weighted stratified sampler: the dead stratum is
@@ -583,21 +494,16 @@ impl ExhaustivePlan {
     /// with per-class memoization, and sampling stops once the
     /// whole-population margin meets [`StratifiedSpec::target_margin`]
     /// (or the draw ceiling is hit). Deterministic for a given spec seed
-    /// regardless of thread count.
+    /// regardless of thread count. The run hook fires once per class sim
+    /// with its position in the batch, inside the isolation boundary.
     pub fn run_stratified(
         &self,
         spec: StratifiedSpec,
         artifacts: Option<&GoldenArtifacts>,
     ) -> Result<StratifiedResult, CampaignError> {
         spec.validate()?;
-        let mut owned = None;
-        let artifacts = self.artifacts(artifacts, &mut owned)?;
+        let golden = self.campaign.resolve_artifacts(artifacts)?;
         let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
         let population = self.coverage.population;
         let live_weight = self.coverage.live_weight;
         let mut draw_counts = ClassCounts::new();
@@ -624,8 +530,14 @@ impl ExhaustivePlan {
                     .collect();
                 fresh.sort_unstable();
                 fresh.dedup();
-                for (id, outcome) in self.simulate_batch(&fresh, &program, artifacts, snapshots)? {
-                    memo.insert(id, outcome);
+                let sims = self
+                    .campaign
+                    .fan_out(fresh.len(), |k, local: &mut Vec<_>| {
+                        let class = self.partition.class(fresh[k]).expect("live id");
+                        local.push(self.simulate_class(&class, &golden, Some(k)));
+                    })?;
+                for o in sims.into_iter().flatten() {
+                    memo.insert(o.class_id, (o.effect, o.cycles));
                 }
                 for id in ids {
                     let (effect, _) = memo[&id];
@@ -653,7 +565,7 @@ impl ExhaustivePlan {
             faults: cfg.faults,
             counts,
             fault_free_cycles: self.partition.total_cycles(),
-            fault_free_instructions: artifacts.instructions(),
+            fault_free_instructions: golden.instructions(),
             details: None,
             anomalies: crate::campaign::AnomalyLog::new(),
             oracle_skips: self.coverage.dead_classes,
@@ -666,67 +578,6 @@ impl ExhaustivePlan {
             draws,
             simulated: memo.len() as u64,
         })
-    }
-
-    /// Simulates a sorted, deduplicated batch of class ids in parallel.
-    /// The campaign's per-run hook (when set) fires once per class sim —
-    /// the progress/chaos seam stratified fabric units share with
-    /// [`ExhaustivePlan::run_class_range`].
-    fn simulate_batch(
-        &self,
-        ids: &[u64],
-        program: &mbu_isa::Program,
-        artifacts: &GoldenArtifacts,
-        snapshots: Option<&mbu_snap::SnapshotStore>,
-    ) -> Result<Vec<ClassSim>, CampaignError> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let cfg = self.campaign.config();
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(ids.len())
-        .max(1);
-        let hook = cfg.run_hook.as_ref();
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(Vec::with_capacity(ids.len()));
-        let mut worker_panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let results = &results;
-                handles.push(scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ids.len() {
-                        break;
-                    }
-                    if let Some(hook) = hook {
-                        (hook.0)(i);
-                    }
-                    let class = self.partition.class(ids[i]).expect("live id");
-                    let o = self.simulate_class(&class, program, artifacts, snapshots);
-                    results
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((o.class_id, (o.effect, o.cycles)));
-                }));
-            }
-            for h in handles {
-                if h.join().is_err() {
-                    worker_panicked = true;
-                }
-            }
-        });
-        if worker_panicked {
-            return Err(CampaignError::WorkerPanicked);
-        }
-        Ok(results.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -896,6 +747,83 @@ mod tests {
             plan.finalize(&one, artifacts.instructions()),
             Err(CampaignError::IncompleteClassCover { .. })
         ));
+        // The stratified sampler is just as thread-count invariant, and a
+        // private golden run classifies like the shared artifacts.
+        let stratified = |threads: usize, shared: Option<&GoldenArtifacts>| {
+            let p = ExhaustivePlan::try_new(
+                config(HwComponent::DTlb).threads(threads),
+                ExhaustiveSpec::default(),
+            )
+            .unwrap();
+            let r = p.run_stratified(small_stratified(), shared).unwrap();
+            (r.campaign, r.draws, r.simulated)
+        };
+        let single = stratified(1, Some(&artifacts));
+        assert!(single.1 > 0, "the sampler must draw");
+        assert_eq!(single, stratified(4, Some(&artifacts)));
+        assert_eq!(single, stratified(4, None));
+    }
+
+    /// A stopping rule small enough for debug builds.
+    fn small_stratified() -> StratifiedSpec {
+        StratifiedSpec {
+            min_draws: 16,
+            batch: 16,
+            max_draws: 32,
+            ..StratifiedSpec::paper()
+        }
+    }
+
+    #[test]
+    fn panicking_run_hook_classifies_its_class_as_assert() {
+        let healthy =
+            ExhaustivePlan::try_new(config(HwComponent::DTlb), ExhaustiveSpec::default()).unwrap();
+        let artifacts = healthy.campaign.build_artifacts().unwrap();
+        let range = 0..8.min(healthy.live_classes());
+        let victim = healthy.live_class(3).id;
+        let hooked = ExhaustivePlan::try_new(
+            config(HwComponent::DTlb).with_run_hook(|i| {
+                if i == 3 {
+                    panic!("hook panics at live position {i}");
+                }
+            }),
+            ExhaustiveSpec::default(),
+        )
+        .unwrap();
+        let expected = healthy
+            .run_class_range(range.clone(), Some(&artifacts))
+            .unwrap();
+        let got = hooked.run_class_range(range, Some(&artifacts)).unwrap();
+        assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(&expected) {
+            if g.class_id == victim {
+                let asserted = ClassOutcome {
+                    effect: FaultEffect::Assert,
+                    cycles: 0,
+                    ..*e
+                };
+                assert_eq!(*g, asserted);
+            } else {
+                assert_eq!(g, e);
+            }
+        }
+        // The stratified sampler survives a panicking hook the same way.
+        let fired = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let fired_in_hook = std::sync::Arc::clone(&fired);
+        let once = ExhaustivePlan::try_new(
+            config(HwComponent::DTlb).with_run_hook(move |_| {
+                if !fired_in_hook.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                    panic!("hook panics once");
+                }
+            }),
+            ExhaustiveSpec::default(),
+        )
+        .unwrap();
+        let r = once
+            .run_stratified(small_stratified(), Some(&artifacts))
+            .unwrap();
+        assert!(fired.load(std::sync::atomic::Ordering::Relaxed));
+        assert_eq!(r.campaign.counts.total(), once.coverage().population);
     }
 
     #[test]
