@@ -82,36 +82,15 @@
 //!                    every campaign (measure/fig1-6/xval/all);
 //!                    classifications stay bit-identical
 //!
-//! Service knobs (daemon): MBU_HTTP_MAX_JOBS (concurrent sweeps, default
-//! 2), MBU_HTTP_QUEUE (queued submissions before 429, default 8),
-//! MBU_HTTP_CONN_MAX (connection cap before load-shedding 503s, default
-//! 64), MBU_HTTP_TIMEOUT_SECS (per-connection read/write deadline,
-//! default 30), MBU_DRAIN_TIMEOUT_SECS (graceful-drain budget on
-//! SIGTERM, default 60), MBU_MEM_BUDGET_MB (shared snapshot-memory
-//! budget split across running jobs), MBU_RETAIN_JOBS (terminal jobs
-//! whose shard dirs survive retention GC).
-//!
-//! environment: MBU_RUNS, MBU_SEED, MBU_THREADS, MBU_WORKLOADS,
-//! MBU_ADAPTIVE_MARGIN (adaptive early stopping), MBU_DEADLINE_SECS
-//! (sweep wall-clock budget), MBU_SNAPSHOTS, MBU_SNAPSHOT_INTERVAL,
-//! MBU_SNAPSHOT_MEM_MB (snapshot fast path and its memory cap),
-//! MBU_GOLDEN_CACHE (sweep-wide golden-artifact cache, default on),
-//! MBU_EQUIV (stratified big-array coverage for `exhaustive`),
-//! MBU_EXHAUSTIVE_MAX_CLASSES (live-class cap per exhaustive campaign,
-//! default 4 000 000; larger partitions are rejected, never subsampled).
-//! Fabric knobs (sweep/serve/worker): MBU_WORKERS, MBU_UNIT_RUNS,
-//! MBU_UNIT_CLASSES (classes per exhaustive unit, 0 = auto),
-//! MBU_HEARTBEAT_MS, MBU_STALL_SECS, MBU_UNIT_DEADLINE_SECS,
-//! MBU_UNIT_RETRIES, MBU_STEAL, MBU_DISK_WATERMARK_MB (pause assignment
-//! under this much free disk), MBU_BREAKER_TRIP / MBU_BREAKER_COOLDOWN_MS
-//! (worker-respawn circuit breaker), MBU_RETRY_BUDGET (per-sweep retry
-//! ceiling, typed exhaustion). Invalid values are rejected with a typed
-//! error, never silently defaulted.
+//! environment: every MBU_* knob, with its default, is listed by
+//! `repro --help` (the table in `mbu_bench::config`). Invalid values are
+//! rejected with a typed error, never silently defaulted.
 //! ```
 
-use mbu_bench::supervisor::{FabricConfig, FabricReport, Supervisor, SweepOptions, WorkerPool};
+use mbu_bench::supervisor::{FabricReport, Supervisor, SweepOptions, WorkerPool};
 use mbu_bench::{
-    AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS, STRATIFIED_COMPONENTS,
+    AnalyticalStore, Config, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS,
+    STRATIFIED_COMPONENTS,
 };
 use mbu_cpu::HwComponent;
 use mbu_gefin::paper;
@@ -285,17 +264,8 @@ fn usage() {
          \x20                                            (bit-identical merge; --listen <addr> adopts TCP workers)\n\
          \x20      repro equivbench [--workload w]       stratified vs uniform-2000 run economics -> BENCH_equiv.json\n\
          \x20      repro equivbench --workers N          adds distributed class-range scaling (1 vs N workers)\n\
-         env:   MBU_RUNS (default 150), MBU_SEED, MBU_THREADS, MBU_WORKLOADS,\n\
-         \x20      MBU_ADAPTIVE_MARGIN, MBU_DEADLINE_SECS, MBU_SNAPSHOTS,\n\
-         \x20      MBU_SNAPSHOT_INTERVAL, MBU_SNAPSHOT_MEM_MB, MBU_GOLDEN_CACHE,\n\
-         \x20      MBU_EQUIV, MBU_EXHAUSTIVE_MAX_CLASSES (equivalence-class modes),\n\
-         \x20      MBU_WORKERS, MBU_UNIT_RUNS, MBU_UNIT_CLASSES, MBU_HEARTBEAT_MS, MBU_STALL_SECS,\n\
-         \x20      MBU_UNIT_DEADLINE_SECS, MBU_UNIT_RETRIES, MBU_STEAL,\n\
-         \x20      MBU_DISK_WATERMARK_MB, MBU_BREAKER_TRIP, MBU_BREAKER_COOLDOWN_MS,\n\
-         \x20      MBU_RETRY_BUDGET (fabric governor),\n\
-         \x20      MBU_HTTP_MAX_JOBS, MBU_HTTP_QUEUE, MBU_HTTP_CONN_MAX,\n\
-         \x20      MBU_HTTP_TIMEOUT_SECS, MBU_DRAIN_TIMEOUT_SECS,\n\
-         \x20      MBU_MEM_BUDGET_MB, MBU_RETAIN_JOBS (daemon)"
+         env (invalid values are rejected with a typed error naming the variable):\n{}",
+        Config::help().trim_end()
     );
 }
 
@@ -591,12 +561,17 @@ fn follow_events(addr: &str, id: &str) -> Result<(), String> {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    let mut e = Experiments::try_from_env().map_err(|err| err.to_string())?;
-    e.verbose = true;
-    if opts.snapshots {
-        e.use_snapshots = true;
-    }
     let id = opts.experiment.as_str();
+    let mut config = Config::from_env().map_err(|err| err.to_string())?;
+    // Command-line overrides, applied once for every command. Foreground
+    // commands narrate their progress; the daemon's jobs stay quiet.
+    config.exp.use_snapshots |= opts.snapshots;
+    if let Some(w) = opts.workers {
+        config.fabric.workers = w;
+    }
+    config.exp.verbose = id != "daemon";
+    config.fabric.verbose = id != "daemon";
+    let e = &config.exp;
     match id {
         "table1" => emit(&e.table1(), opts.csv),
         "table2" => println!("{}", e.table2()),
@@ -633,7 +608,7 @@ fn run(opts: &Options) -> Result<(), String> {
                     "note: measured results incomplete ({} of 270); measuring now",
                     store.len()
                 );
-                measure_all(&e, opts, &mut store);
+                measure_all(e, opts, &mut store);
             }
             match id {
                 "table4" => emit(&e.table4(&store), opts.csv),
@@ -643,7 +618,7 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         "fig7" | "fig8" => {
             let mut store = load_store(opts);
-            let avfs = derived_avfs(&e, opts, &mut store);
+            let avfs = derived_avfs(e, opts, &mut store);
             if id == "fig7" {
                 emit(&e.fig7(&avfs), opts.csv);
             } else {
@@ -655,7 +630,7 @@ fn run(opts: &Options) -> Result<(), String> {
             emit(&e.ablation_tag_vs_data(), opts.csv);
             emit(&e.ablation_in_order(), opts.csv);
             emit(&e.ablation_cluster_size(), opts.csv);
-            let avfs = derived_avfs(&e, opts, &mut store);
+            let avfs = derived_avfs(e, opts, &mut store);
             emit(&e.projected_14nm(&avfs), opts.csv);
             emit(&e.ablation_interleaving(), opts.csv);
             emit(&e.ablation_speculation(), opts.csv);
@@ -713,7 +688,7 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         "measure" => {
             let mut store = load_store(opts);
-            measure_all(&e, opts, &mut store);
+            measure_all(e, opts, &mut store);
             eprintln!("saved {} campaigns to {}", store.len(), opts.out.display());
         }
         "snapbench" => {
@@ -816,11 +791,6 @@ fn run(opts: &Options) -> Result<(), String> {
                 // Distributed: shard each exhaustive campaign by class
                 // range over supervised workers; the merged store is
                 // byte-identical to the single-process path below.
-                let mut config = FabricConfig::from_env().map_err(|err| err.to_string())?;
-                if let Some(w) = opts.workers {
-                    config.workers = w;
-                }
-                config.verbose = true;
                 // Class-range shards never share a directory with
                 // run-range shards: same campaign key, different flavor.
                 let shard_dir = opts
@@ -836,10 +806,10 @@ fn run(opts: &Options) -> Result<(), String> {
                     None => WorkerPool::Spawn,
                 };
                 let (dist_store, fabric_report) = Supervisor::run_equiv(
-                    &e,
+                    e,
                     &ex,
                     &strat,
-                    &config,
+                    &config.fabric,
                     &shard_dir,
                     &path,
                     pool,
@@ -937,7 +907,7 @@ fn run(opts: &Options) -> Result<(), String> {
                     dir.display()
                 );
                 let audits =
-                    mbu_bench::fabric::audit_shard_dir(&e, dir).map_err(|err| err.to_string())?;
+                    mbu_bench::fabric::audit_shard_dir(e, dir).map_err(|err| err.to_string())?;
                 if audits.is_empty() {
                     eprintln!("no shard stores found in {}", dir.display());
                 }
@@ -977,11 +947,6 @@ fn run(opts: &Options) -> Result<(), String> {
             }
         }
         "sweep" | "serve" => {
-            let mut config = FabricConfig::from_env().map_err(|err| err.to_string())?;
-            if let Some(w) = opts.workers {
-                config.workers = w;
-            }
-            config.verbose = true;
             let shard_dir = opts.shards.clone().unwrap_or_else(|| {
                 opts.out
                     .parent()
@@ -996,18 +961,22 @@ fn run(opts: &Options) -> Result<(), String> {
             } else {
                 WorkerPool::Spawn
             };
-            let (store, report) =
-                Supervisor::run(&e, &HwComponent::ALL, &config, &shard_dir, &opts.out, pool)
-                    .map_err(|err| err.to_string())?;
+            let (store, report) = Supervisor::run(
+                e,
+                &HwComponent::ALL,
+                &config.fabric,
+                &shard_dir,
+                &opts.out,
+                pool,
+            )
+            .map_err(|err| err.to_string())?;
             if !report_fabric(&report, &store, &opts.out) {
                 return Err("sweep completed degraded (quarantined units or coverage gaps)".into());
             }
         }
         "worker" => {
             let shard = opts.shard.clone().ok_or("worker needs --shard <path>")?;
-            let heartbeat = FabricConfig::from_env()
-                .map_err(|err| err.to_string())?
-                .heartbeat;
+            let heartbeat = config.fabric.heartbeat;
             match &opts.connect {
                 Some(addr) => {
                     let stream = std::net::TcpStream::connect(addr)
@@ -1033,11 +1002,11 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         "daemon" => {
             let addr = opts.listen.clone().ok_or("daemon needs --listen <addr>")?;
-            mbu_bench::run_daemon(&addr, &opts.state)?;
+            mbu_bench::run_daemon(&addr, &opts.state, &config)?;
         }
         "submit" => {
             let addr = opts.to.clone().ok_or("submit needs --to <addr>")?;
-            let body = submit_body(&e, opts)?;
+            let body = submit_body(e, opts)?;
             let (status, reply) =
                 mbu_serve::http::request(&addr, "POST", "/sweeps", Some(body.encode().as_bytes()))
                     .map_err(|err| format!("submit to {addr}: {err}"))?;
@@ -1085,20 +1054,13 @@ fn run(opts: &Options) -> Result<(), String> {
         "chaos-http" => {
             use mbu_bench::chaos::{HttpFault, HttpFaultOutcome};
             let addr = opts.to.clone().ok_or("chaos-http needs --to <addr>")?;
-            let faults = {
-                let from_env = HttpFault::from_env();
-                if from_env.is_empty() {
-                    HttpFault::all().to_vec()
-                } else {
-                    from_env
-                }
-            };
+            let mut faults = HttpFault::from_env();
+            if faults.is_empty() {
+                faults = HttpFault::all().to_vec();
+            }
             // The client must outwait the server's I/O budget to observe a
             // slow-loris 408; both sides read the same environment.
-            let patience = mbu_bench::ServeConfig::from_env()
-                .map_err(|err| err.to_string())?
-                .io_budget
-                + std::time::Duration::from_secs(5);
+            let patience = config.serve.io_budget + std::time::Duration::from_secs(5);
             let mut failed = 0usize;
             for fault in faults {
                 let verdict = match fault.fire(&addr, patience) {
@@ -1163,7 +1125,7 @@ fn run(opts: &Options) -> Result<(), String> {
             emit(&e.table3(), opts.csv);
             let mut store = load_store(opts);
             if !store.is_complete() {
-                measure_all(&e, opts, &mut store);
+                measure_all(e, opts, &mut store);
             }
             for fig in ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"] {
                 let c = fig_component(fig).expect("static list");

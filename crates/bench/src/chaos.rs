@@ -404,27 +404,32 @@ impl HttpFault {
         }
     }
 
-    /// Builds the firing list from [`CHAOS_HTTP_ENV`] (empty when unset;
-    /// `all` expands to the whole family).
+    /// Parses a firing list: comma-separated kebab specs, or `all` for the
+    /// whole family.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown spec, as [`HttpFault::parse`] reports it.
+    pub fn parse_list(list: &str) -> Result<Vec<HttpFault>, String> {
+        if list.trim() == "all" {
+            return Ok(HttpFault::all().to_vec());
+        }
+        list.split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(HttpFault::parse)
+            .collect()
+    }
+
+    /// Builds the firing list from [`CHAOS_HTTP_ENV`] (empty when unset).
     ///
     /// # Panics
     ///
     /// Panics on a malformed spec — a typo'd fault silently not firing
     /// would pass the test it was meant to arm.
     pub fn from_env() -> Vec<HttpFault> {
-        match std::env::var(CHAOS_HTTP_ENV) {
-            Ok(v) if v.trim() == "all" => HttpFault::all().to_vec(),
-            Ok(v) => v
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|s| match HttpFault::parse(s) {
-                    Ok(f) => f,
-                    Err(e) => panic!("{CHAOS_HTTP_ENV}: {e}"),
-                })
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+        let list = std::env::var(CHAOS_HTTP_ENV).unwrap_or_default();
+        HttpFault::parse_list(&list).unwrap_or_else(|e| panic!("{CHAOS_HTTP_ENV}: {e}"))
     }
 
     /// Fires this fault at `addr` and reports what the server did. The
@@ -613,16 +618,19 @@ mod tests {
             assert_eq!(HttpFault::parse(fault.kind()), Ok(fault));
         }
         assert!(HttpFault::parse("teardrop").is_err());
-        std::env::remove_var(CHAOS_HTTP_ENV);
-        assert!(HttpFault::from_env().is_empty());
-        std::env::set_var(CHAOS_HTTP_ENV, "slow-loris, header-flood");
+        assert_eq!(HttpFault::parse_list(""), Ok(Vec::new()));
         assert_eq!(
-            HttpFault::from_env(),
-            vec![HttpFault::SlowLoris, HttpFault::HeaderFlood]
+            HttpFault::parse_list("slow-loris, header-flood"),
+            Ok(vec![HttpFault::SlowLoris, HttpFault::HeaderFlood])
         );
-        std::env::set_var(CHAOS_HTTP_ENV, "all");
-        assert_eq!(HttpFault::from_env(), HttpFault::all().to_vec());
-        std::env::remove_var(CHAOS_HTTP_ENV);
+        assert_eq!(
+            HttpFault::parse_list(" all "),
+            Ok(HttpFault::all().to_vec())
+        );
+        assert_eq!(
+            HttpFault::parse_list("slow-loris,teardrop"),
+            Err("unknown HTTP fault `teardrop`".into())
+        );
     }
 
     #[test]
