@@ -1,5 +1,8 @@
 //! Helpers shared by the crate's unit tests.
 
+use crate::config::{Config, ConfigError};
+use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -30,5 +33,40 @@ impl std::ops::Deref for TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Parses a [`Config`] from exactly `vars`, never the process
+/// environment.
+pub(crate) fn parse_knobs(vars: &[(&str, &str)]) -> Result<Config, ConfigError> {
+    let map: BTreeMap<String, OsString> = vars
+        .iter()
+        .map(|(k, v)| (k.to_string(), OsString::from(v)))
+        .collect();
+    Config::from_lookup(|var| map.get(var).cloned())
+}
+
+/// The error for `var` set to the unparsable `value`.
+pub(crate) fn invalid_knob(var: &'static str, value: &str, expected: &'static str) -> ConfigError {
+    ConfigError::Invalid {
+        var,
+        value: value.into(),
+        expected,
+    }
+}
+
+/// Asserts each set of `vars` fails to parse with exactly its error, and
+/// that the error's message names the offending variable.
+pub(crate) fn assert_knobs_rejected(cases: &[(&[(&str, &str)], ConfigError)]) {
+    for (vars, want) in cases {
+        let err = parse_knobs(vars).unwrap_err();
+        assert_eq!(&err, want, "{vars:?}");
+        let ConfigError::Invalid { var, .. } = want else {
+            unreachable!("every case is an invalid value")
+        };
+        assert!(
+            err.to_string().contains(var),
+            "error for {var} should name it: {err}"
+        );
     }
 }

@@ -6,7 +6,7 @@ use crate::http::{ChunkedWriter, DeadlineStream, ReadError, Request, Response};
 use crate::jobs::{ApiError, JobManager, JobState};
 use mbu_gefin::json::Json;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,6 +14,10 @@ use std::time::Duration;
 /// How long one event-stream poll blocks before emitting nothing and
 /// re-checking the connection.
 const EVENT_POLL: Duration = Duration::from_millis(250);
+
+/// How long a refused request's remaining input is read and discarded
+/// after the error reply, so closing does not reset the reply away.
+const DRAIN_LINGER: Duration = Duration::from_secs(1);
 
 /// Extra `/healthz` fields supplied by the embedding service (governor
 /// state, drain state, …).
@@ -122,8 +126,15 @@ fn handle_connection(stream: TcpStream, manager: &Arc<JobManager>, opts: &ServeO
                     Response::error(400, "request truncated mid-body")
                 }
                 ReadError::Io(e) if e.kind() != std::io::ErrorKind::TimedOut => return,
-                ReadError::TooLarge => Response::error(413, "request body too large"),
-                ReadError::HeadersTooLarge => Response::error(431, "request headers too large"),
+                // The peer may still be sending what we refuse to read.
+                ReadError::TooLarge => {
+                    let response = Response::error(413, "request body too large");
+                    return respond_and_drain(stream, &response, opts);
+                }
+                ReadError::HeadersTooLarge => {
+                    let response = Response::error(431, "request headers too large");
+                    return respond_and_drain(stream, &response, opts);
+                }
                 ReadError::Malformed(m) => Response::error(400, &format!("malformed request: {m}")),
                 // Slow-loris or torn body: the read deadline expired first.
                 ReadError::Io(_) => Response::error(408, "request read timed out"),
@@ -156,6 +167,21 @@ fn handle_connection(stream: TcpStream, manager: &Arc<JobManager>, opts: &ServeO
 fn respond(stream: TcpStream, response: &Response, opts: &ServeOptions) {
     let mut writer = DeadlineStream::new(stream, opts.io_budget);
     let _ = response.write(&mut writer);
+}
+
+/// [`respond`] for a request whose rest the server refuses to read.
+/// Closing a socket with unread input makes the kernel reset the
+/// connection and drop any reply bytes still unsent, so the peer could
+/// see a torn reply. Instead, half-close after the reply and discard the
+/// peer's input until it closes too, for at most [`DRAIN_LINGER`].
+fn respond_and_drain(stream: TcpStream, response: &Response, opts: &ServeOptions) {
+    let Ok(read_half) = stream.try_clone() else {
+        return respond(stream, response, opts);
+    };
+    respond(stream, response, opts);
+    let _ = read_half.shutdown(Shutdown::Write);
+    let mut rest = DeadlineStream::new(read_half, opts.io_budget.min(DRAIN_LINGER));
+    let _ = std::io::copy(&mut rest, &mut std::io::sink());
 }
 
 fn api_error(e: &ApiError) -> Response {
